@@ -23,6 +23,8 @@ ingest, serve, CLI) can import it without cycles.
 from __future__ import annotations
 
 import hashlib
+import os
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -174,27 +176,86 @@ class Deadline:
             )
 
 
+class _Worker:
+    """A daemon thread that runs calls one at a time for its pool."""
+
+    def __init__(self, pool: "_WorkerPool") -> None:
+        self._pool = pool
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, daemon=True, name="deadline-call").start()
+
+    def submit(self, fn: Callable[[], object]) -> tuple[dict, threading.Event]:
+        box: dict[str, object] = {}
+        done = threading.Event()
+        self._calls.put((fn, box, done))
+        return box, done
+
+    def _serve(self) -> None:
+        while True:
+            fn, box, done = self._calls.get()
+            try:
+                box["value"] = fn()
+            except BaseException as exc:  # rethrown on the calling thread
+                box["error"] = exc
+            # Idle again before the caller wakes, so the caller's next
+            # call finds this worker; a hung fn never gets here.
+            self._pool.release(self)
+            done.set()
+            del fn, box, done  # hold nothing of a finished call
+
+
+class _WorkerPool:
+    """The idle workers of :func:`call_with_timeout`.
+
+    A worker rejoins its pool only after its call returns, so one stuck
+    in a hang is never handed out; the most recently idle worker goes
+    first.  Reusing threads keeps per-thread state — a store's sqlite
+    connection and content-hash cache — alive across calls, so there
+    are only as many as there were concurrent calls.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+
+    def acquire(self) -> _Worker:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return _Worker(self)
+
+    def release(self, worker: _Worker) -> None:
+        with self._lock:
+            self._idle.append(worker)
+
+
+#: One pool per process: ``call_with_timeout(fn, seconds)`` takes none.
+_POOL = _WorkerPool()
+
+
+def _new_pool_after_fork() -> None:
+    """In a forked child: the parent's worker threads did not survive."""
+    global _POOL
+    _POOL = _WorkerPool()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_new_pool_after_fork)
+
+
 def call_with_timeout(fn: Callable[[], T], seconds: float | None) -> T:
     """Run *fn* bounded by *seconds*, raising :class:`DeadlineExceeded`.
 
-    The call runs on a daemon thread so a hang (a wedged store read, a
-    blocked socket) cannot pin the caller; the abandoned thread keeps
-    running but its result is discarded.  ``seconds=None`` calls *fn*
-    inline with no thread at all.
+    The call runs on a reused idle daemon worker (a new one only when
+    none is idle) so a hang (a wedged store read, a blocked socket)
+    cannot pin the caller; the abandoned worker keeps running, its
+    result is discarded, and it is not handed out again until *fn*
+    returns.  ``seconds=None`` calls *fn* inline with no thread at all.
     """
     if seconds is None:
         return fn()
-    box: dict[str, object] = {}
-
-    def runner() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # rethrown on the calling thread
-            box["error"] = exc
-
-    thread = threading.Thread(target=runner, daemon=True, name="deadline-call")
-    thread.start()
-    thread.join(seconds)
+    box, done = _POOL.acquire().submit(fn)
+    done.wait(seconds)
     if "error" in box:
         raise box["error"]  # type: ignore[misc]
     if "value" in box:

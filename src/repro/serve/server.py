@@ -10,7 +10,8 @@ sit behind heavy traffic:
   Modified`` and an empty body.
 - **Compression.**  Bodies above a small threshold are gzipped when the
   client advertises ``Accept-Encoding: gzip`` (with ``mtime=0`` so the
-  bytes are reproducible).
+  bytes are reproducible); a cacheable body is compressed once and its
+  compressed bytes are reused on later hits.
 - **Hot-path caching.**  Rendered ``/v1`` responses come from the
   service's :class:`~repro.serve.service.ResponseCache`: a hit skips
   the store query and the JSON render, and is invalidated implicitly
@@ -38,6 +39,7 @@ sit behind heavy traffic:
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import json
@@ -83,6 +85,10 @@ DEFAULT_REQUEST_TIMEOUT = 5.0
 SNAPSHOT_CAPACITY = 1024
 
 _METRICS_PATHS = ("/metrics", "/metrics/")
+
+
+def _gzip(body: bytes) -> bytes:
+    return gzip.compress(body, mtime=0)
 
 
 @dataclass(frozen=True)
@@ -345,7 +351,8 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
             len(body) >= GZIP_THRESHOLD
             and "gzip" in self.headers.get("Accept-Encoding", "")
         ):
-            body = gzip.compress(body, mtime=0)
+            # Cacheable (ETag-carrying) bodies recur: compress each once.
+            body = self.server.gzipped(body) if routed.etag is not None else _gzip(body)
             headers["Content-Encoding"] = "gzip"
         return result.status, body, headers
 
@@ -401,6 +408,9 @@ class CorpusServer(ThreadingHTTPServer):
             tuple[str, str], tuple[ServiceResponse, str, bytes]
         ] = OrderedDict()
         self._snapshot_lock = threading.Lock()
+        #: Compressed bytes of each cacheable body, made once and reused
+        #: on later hits; bounded like the response cache.
+        self.gzipped = functools.lru_cache(maxsize=response_cache)(_gzip)
         super().__init__((host, port), CorpusRequestHandler)
 
     def server_bind(self) -> None:
@@ -424,13 +434,9 @@ class CorpusServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    def etag_for(self, path: str, query: str) -> str:
-        """A strong validator: store content hash x canonical request."""
-        return self.etag_from_hash(self.store.content_hash(), path, query)
-
     @staticmethod
     def etag_from_hash(content_hash: str, path: str, query: str) -> str:
-        """The ETag for an already-read content hash (no store access)."""
+        """A strong validator: store content hash x canonical request."""
         request_digest = hashlib.sha256(f"{path}?{query}".encode()).hexdigest()
         return f'"{content_hash[:20]}-{request_digest[:12]}"'
 

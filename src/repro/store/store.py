@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import re
 import sqlite3
 import threading
 from contextlib import contextmanager
@@ -114,6 +115,12 @@ CREATE INDEX IF NOT EXISTS idx_projects_n_commits ON projects(n_commits, id);
 CREATE INDEX IF NOT EXISTS idx_projects_total_activity ON projects(total_activity, id);
 CREATE INDEX IF NOT EXISTS idx_projects_active_commits ON projects(active_commits, id);
 """
+
+#: Metric columns with an ``idx_projects_<metric>`` index of their own:
+#: the only ones a metric-range query may name in ``INDEXED BY``.
+_INDEXED_METRICS = frozenset(
+    re.findall(r"idx_projects_(\w+) ON projects\(\1, id\)", _INDEX_DDL)
+)
 
 # v5: the dialect filter family.  Kept out of ``_DDL``/``_INDEX_DDL``
 # because both replay against pre-v5 tables (the base script runs on
@@ -574,7 +581,13 @@ class CorpusStore:
             conn.commit()
 
     @contextmanager
-    def _write_tx(self) -> Iterator[sqlite3.Connection]:
+    def _write_tx(self, touches_content: bool = True) -> Iterator[sqlite3.Connection]:
+        """One immediate write transaction.
+
+        Its commit invalidates the cached content hash unless the caller
+        passes ``touches_content=False``: advice rows and meta sequences
+        do not feed :meth:`content_hash`, so writing them leaves it valid.
+        """
         with self._write_lock:
             conn = self._connection()
             conn.execute("BEGIN IMMEDIATE" if not self._memory else "BEGIN")
@@ -585,8 +598,9 @@ class CorpusStore:
                 raise
             else:
                 conn.commit()
-                self._etag = None
-                self._write_generation += 1
+                if touches_content:
+                    self._etag = None
+                    self._write_generation += 1
 
     def close(self) -> None:
         if self._memory:
@@ -664,7 +678,7 @@ class CorpusStore:
         """
         if key == "schema_version":
             raise StoreError("schema_version is managed by the store itself")
-        with self._write_tx() as conn:
+        with self._write_tx(touches_content=False) as conn:
             row = conn.execute(
                 "SELECT value FROM meta WHERE key = ?", (key,)
             ).fetchone()
@@ -987,12 +1001,17 @@ class CorpusStore:
         # it cannot see the range's selectivity without STAT4).  That
         # plan degrades linearly with table size exactly when the filter
         # is selective — the common dashboard query at 100k+ rows — so
-        # direct it through the metric's composite index: cost is then
-        # bounded by the match count, never by the corpus.
+        # direct it through the first ranged metric's composite index:
+        # cost is then bounded by the match count, never by the corpus.
+        # A range on a metric without an index keeps the planner's plan.
+        indexed = next(
+            (bound.metric for bound in ranges if bound.metric in _INDEXED_METRICS),
+            None,
+        )
         hint = ""
-        if ranges and taxon is None and outcome is None and dialect is None \
-                and cursor is None:
-            hint = f" INDEXED BY idx_projects_{ranges[0].metric}"
+        if indexed is not None and taxon is None and outcome is None \
+                and dialect is None and cursor is None:
+            hint = f" INDEXED BY idx_projects_{indexed}"
         with self._read_tx() as conn:
             total = conn.execute(
                 f"SELECT COUNT(*) AS n FROM projects{hint}{clause}", params
@@ -1155,7 +1174,7 @@ class CorpusStore:
         them through here, exactly like ``persist_context``'s forced
         project ids.
         """
-        with self._write_tx() as conn:
+        with self._write_tx(touches_content=False) as conn:
             row = conn.execute(
                 f"SELECT {', '.join(self._ADVICE_COLUMNS)} FROM advice"
                 " WHERE project = ? AND idempotency_key = ?",

@@ -77,3 +77,12 @@ def analysis(funnel_report):
 def rng():
     """A fresh deterministic RNG per test."""
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture()
+def fresh_worker_pool(monkeypatch):
+    """A timeout-worker pool of the test's own, so a worker an earlier
+    test left in a hang cannot rejoin the pool mid-test."""
+    from repro.resilience import policy
+
+    monkeypatch.setattr(policy, "_POOL", policy._WorkerPool())

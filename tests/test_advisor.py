@@ -35,10 +35,25 @@ from repro.store import (
     ShardedCorpusStore,
     ingest_corpus,
 )
+from repro.store import shard as shard_mod
+from repro.store import store as store_mod
 from repro.store.shard import shard_index
 from tests.test_store import small_corpus
 
 SHARDS = 3
+
+
+def count_rescans(monkeypatch, module) -> list:
+    """Record each ``compute_content_hash`` call *module* makes."""
+    calls: list = []
+    original = module.compute_content_hash
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "compute_content_hash", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +265,17 @@ class TestAdviceLedger:
         assert store.content_hash() == before
         store.close()
 
+    def test_advice_writes_keep_the_cached_content_hash(self, tmp_path, monkeypatch):
+        """Neither an insert nor a replay makes the next read rescan."""
+        store = CorpusStore(tmp_path / "ledger.db")
+        store.content_hash()
+        rescans = count_rescans(monkeypatch, store_mod)
+        for _ in range(2):  # insert, then replay
+            store.record_advice(1, "p/one", "key-1", "hash-a", self._respond)
+            store.content_hash()
+        assert rescans == []
+        store.close()
+
 
 class TestShardedAdvice:
     @pytest.fixture()
@@ -262,6 +288,15 @@ class TestShardedAdvice:
 
     def _respond(self, advice_id):
         return json.dumps({"advice_id": advice_id}, sort_keys=True).encode()
+
+    def test_advice_writes_keep_the_cached_content_hash(self, sharded, monkeypatch):
+        """The coordinator's id allocation and the shard's insert alike."""
+        sharded.content_hash()
+        rescans = count_rescans(monkeypatch, shard_mod)
+        stored = sharded.get_project("ok/alpha")
+        sharded.record_advice(stored.id, stored.name, "key", "hash", self._respond)
+        sharded.content_hash()
+        assert rescans == []
 
     def test_advice_lands_on_the_owning_shard(self, sharded):
         for name in ("ok/alpha", "ok/beta", "ok/rigid"):

@@ -12,12 +12,14 @@ and offset are mutually exclusive, explicit offset pagination carries
 
 from __future__ import annotations
 
+import json
+import urllib.request
 from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
 from repro.resilience import FaultInjector
-from repro.serve import CorpusService
+from repro.serve import CorpusService, start_server
 from repro.serve.cursors import (
     decode_failure_cursor,
     decode_project_cursor,
@@ -25,6 +27,7 @@ from repro.serve.cursors import (
     encode_project_cursor,
 )
 from repro.store import (
+    METRIC_COLUMNS,
     CorpusStore,
     MetricRange,
     ShardedCorpusStore,
@@ -176,6 +179,50 @@ class TestIndexCoverage:
             with base._read_tx() as conn:
                 rows = conn.execute("SELECT tbl FROM sqlite_stat1").fetchall()
             assert any(row["tbl"] == "projects" for row in rows)
+
+
+class TestMetricFilters:
+    def test_every_metric_filters_without_tripping_the_breaker(
+        self, store, monkeypatch
+    ):
+        """``min_``/``max_`` answer on every metric column, indexed or
+        not, with the total of a plain (unhinted) count."""
+        server, thread = start_server(store, port=0)
+        failures: list[str] = []
+        record_failure = server.breaker.record_failure
+
+        def counted() -> None:
+            failures.append("failure")
+            record_failure()
+
+        monkeypatch.setattr(server.breaker, "record_failure", counted)
+        try:
+            for metric in METRIC_COLUMNS:
+                values = sorted(
+                    row[0]
+                    for base in _base_stores(store)
+                    for row in base._connection().execute(
+                        f"SELECT {metric} FROM projects WHERE {metric} IS NOT NULL"
+                    )
+                )
+                median = values[len(values) // 2]
+                for bound, op in (("min", ">="), ("max", "<=")):
+                    expected = sum(
+                        base._connection().execute(
+                            f"SELECT COUNT(*) FROM projects WHERE {metric} {op} ?",
+                            (median,),
+                        ).fetchone()[0]
+                        for base in _base_stores(store)
+                    )
+                    target = f"/v1/projects?{bound}_{metric}={median}&limit=5"
+                    with urllib.request.urlopen(server.url + target, timeout=10) as resp:
+                        assert resp.status == 200, target
+                        assert json.loads(resp.read())["total"] == expected, target
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert failures == []
 
 
 class TestCursorTokens:

@@ -12,6 +12,11 @@ durable checkpoint.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
@@ -179,6 +184,74 @@ class TestCallWithTimeout:
         with pytest.raises(DeadlineExceeded):
             call_with_timeout(lambda: _time.sleep(30), 0.05)
         assert _time.perf_counter() - started < 5.0
+
+    def test_consecutive_calls_run_on_the_same_worker(self, fresh_worker_pool):
+        threads = {call_with_timeout(threading.current_thread, 5.0) for _ in range(20)}
+        assert len(threads) == 1
+        assert threads != {threading.current_thread()}  # not inline
+
+    def test_concurrent_callers_share_at_most_one_worker_each(self, fresh_worker_pool):
+        callers, calls = 8, 50
+        used: set[threading.Thread] = set()
+        wrong: list[tuple] = []
+
+        def caller(index: int) -> None:
+            for n in range(calls):
+                got, worker = call_with_timeout(
+                    lambda: ((index, n), threading.current_thread()), 5.0
+                )
+                if got != (index, n):
+                    wrong.append((index, n, got))
+                used.add(worker)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(used) <= callers  # a worker is created only when none is idle
+
+    def test_a_hung_worker_is_never_handed_out(self):
+        release = threading.Event()
+        hung: list[threading.Thread] = []
+
+        def hang() -> None:
+            hung.append(threading.current_thread())
+            release.wait(30)
+
+        try:
+            with pytest.raises(DeadlineExceeded):
+                call_with_timeout(hang, 0.05)
+            started = time.perf_counter()
+            assert call_with_timeout(threading.current_thread, 5.0) is not hung[0]
+            assert time.perf_counter() - started < 1.0
+        finally:
+            release.set()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_can_still_call(self):
+        call_with_timeout(lambda: None, 5.0)  # the parent has an idle worker
+        pid = os.fork()
+        if pid == 0:  # the child: exit with the verdict, run nothing else
+            try:
+                os._exit(0 if call_with_timeout(lambda: 42, 2.0) == 42 else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 10.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's call never returned")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestCircuitBreaker:

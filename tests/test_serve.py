@@ -623,6 +623,75 @@ class TestResponseCache:
             thread.join(timeout=10)
 
 
+class TestWarmRequests:
+    """Requests reuse the timeout's worker threads, so the store state a
+    worker keeps (its sqlite connection and content-hash cache) and the
+    server's compressed bodies serve every later request."""
+
+    def test_sequential_gets_open_one_connection_and_hash_once(
+        self, tmp_path, monkeypatch, fresh_worker_pool
+    ):
+        from repro.store import store as store_mod
+
+        activity, lib_io, repos = small_corpus()
+        store = CorpusStore(tmp_path / "warm.db")
+        ingest_corpus(store, activity, lib_io, repos.get)
+        opened, rescans = [], []
+        connect = store_mod.sqlite3.connect
+        compute = store_mod.compute_content_hash
+
+        def counted_connect(*args, **kwargs):
+            opened.append(args)
+            return connect(*args, **kwargs)
+
+        def counted_compute(*args, **kwargs):
+            rescans.append(args)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod.sqlite3, "connect", counted_connect)
+        monkeypatch.setattr(store_mod, "compute_content_hash", counted_compute)
+        server, thread = start_server(store, port=0)
+        paths = ("/v1/projects", "/v1/taxa", "/v1/stats", "/v1/failures",
+                 "/v1/projects?limit=1")
+        try:
+            for index in range(50):
+                status, _, _ = request(server, paths[index % len(paths)])
+                assert status == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            store.close()
+        assert len(opened) <= 1
+        assert len(rescans) <= 1
+
+    def test_a_cached_body_is_compressed_once(self, seeded_store, monkeypatch):
+        compress = gzip.compress
+        bodies: list[bytes] = []
+
+        def counted(data, *args, **kwargs):
+            bodies.append(data)
+            return compress(data, *args, **kwargs)
+
+        monkeypatch.setattr(gzip, "compress", counted)
+        server, thread = start_server(seeded_store, port=0)
+        replies = set()
+        try:
+            for _ in range(5):
+                req = urllib.request.Request(
+                    server.url + "/v1/projects", headers={"Accept-Encoding": "gzip"}
+                )
+                with urllib.request.urlopen(req, timeout=10) as resp:
+                    assert resp.headers["Content-Encoding"] == "gzip"
+                    replies.add(resp.read())
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert len(bodies) == 1
+        assert replies == {compress(bodies[0], mtime=0)}
+
+
 class TestResponseCacheUnit:
     def test_lru_eviction_and_counters(self):
         from repro.obs import MetricsRegistry
