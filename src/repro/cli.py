@@ -68,6 +68,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 
 from repro import __version__
 from repro.core import analyze_corpus, classify
@@ -412,6 +413,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     opts: RunOptions = args.options
     started = time.time()
+    knobs = dict(
+        jobs=opts.jobs,
+        cache_dir=opts.cache_dir,
+        retry=opts.retry_policy(),
+        project_deadline=opts.deadline,
+        injector=opts.injector(),
+        chunk_size=args.batch_size,
+        executor=opts.executor,
+    )
     if args.stream:
         from repro.synthesis.stream import StreamSpec
 
@@ -419,63 +429,21 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             seed=opts.seed, count=args.count, profile=args.stream_profile,
             dialects=opts.dialects,
         )
-        with resolve_store(args.db, shards=args.shards) as store:
-            report = ingest_stream(
-                store,
-                spec,
-                jobs=opts.jobs,
-                cache_dir=opts.cache_dir,
-                retry=opts.retry_policy(),
-                project_deadline=opts.deadline,
-                injector=opts.injector(),
-                chunk_size=args.batch_size,
-                executor=opts.executor,
-            )
-            if opts.json:
-                payload = {
-                    "ingest": report.payload(),
-                    "store": {
-                        "path": args.db,
-                        "projects": store.project_count(),
-                        "content_hash": store.content_hash(),
-                        "shards": getattr(store, "shard_count", 1),
-                    },
-                }
-                if opts.stats and report.stats is not None:
-                    payload["stats"] = report.stats.payload()
-                print(json.dumps(payload, sort_keys=True))
-                return 0
-            print(
-                f"# stream seed={opts.seed} count={args.count} "
-                f"profile={args.stream_profile} ingested in "
-                f"{time.time() - started:.1f}s"
-            )
-            print(report.summary())
-            sharded = getattr(store, "shard_count", 1)
-            shard_note = f", {sharded} shards" if sharded > 1 else ""
-            print(f"store: {args.db} ({store.project_count()} projects{shard_note}, "
-                  f"content hash {store.content_hash()[:16]})")
-        if opts.stats and report.stats is not None:
-            print()
-            print(report.stats.summary())
-        return 0
-    spec = CorpusSpec(seed=opts.seed, scale=opts.scale)
-    with trace("corpus.build", seed=opts.seed, scale=opts.scale):
-        corpus = build_corpus(spec)
-    with resolve_store(args.db, shards=args.shards) as store:
-        report = ingest_corpus(
-            store,
-            corpus.activity,
-            corpus.lib_io,
-            corpus.provider,
-            jobs=opts.jobs,
-            cache_dir=opts.cache_dir,
-            retry=opts.retry_policy(),
-            project_deadline=opts.deadline,
-            injector=opts.injector(),
-            executor=opts.executor,
-            dialects=opts.dialects,
+        header = (
+            f"# stream seed={opts.seed} count={args.count} "
+            f"profile={args.stream_profile} ingested in"
         )
+        ingest = partial(ingest_stream, spec=spec, **knobs)
+    else:
+        with trace("corpus.build", seed=opts.seed, scale=opts.scale):
+            corpus = build_corpus(CorpusSpec(seed=opts.seed, scale=opts.scale))
+        header = f"# corpus seed={opts.seed} scale={opts.scale} built in"
+        ingest = partial(
+            ingest_corpus, activity=corpus.activity, lib_io=corpus.lib_io,
+            provider=corpus.provider, dialects=opts.dialects, **knobs,
+        )
+    with resolve_store(args.db, shards=args.shards) as store:
+        report = ingest(store)
         if opts.json:
             payload = {
                 "ingest": report.payload(),
@@ -490,7 +458,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 payload["stats"] = report.stats.payload()
             print(json.dumps(payload, sort_keys=True))
             return 0
-        print(f"# corpus seed={opts.seed} scale={opts.scale} built in {time.time() - started:.1f}s")
+        print(f"{header} {time.time() - started:.1f}s")
         print(report.summary())
         sharded = getattr(store, "shard_count", 1)
         shard_note = f", {sharded} shards" if sharded > 1 else ""
@@ -849,8 +817,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     ingest.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="projects per streamed batch transaction (default: scales"
-             " with --jobs)",
+        help="projects per batch transaction (default: scales with --jobs)",
     )
     ingest.set_defaults(func=_cmd_ingest)
 

@@ -105,6 +105,41 @@ class FunnelReport:
         return rows
 
 
+def select_tasks(
+    activity: GithubActivityDataset,
+    lib_io: LibrariesIoDataset,
+    criteria: SelectionCriteria,
+    dialects: tuple[str, ...],
+) -> tuple[int, list[ProjectTask], dict[MultiFileVerdict, int]]:
+    """The funnel's front half: join + filters, then path post-processing.
+
+    Returns ``(joined_and_filtered, tasks, omitted_by_paths)``: one task
+    per project with a single identified DDL file, its parse dialect
+    stamped from ``dialects`` (see :func:`run_funnel`).
+    """
+    preference = vendor_preference(dialects)
+    with trace("funnel.select"):
+        selected = select_lib_io(activity, lib_io, criteria)
+    tasks: list[ProjectTask] = []
+    omitted: dict[MultiFileVerdict, int] = {}
+    with trace("funnel.choose_paths", candidates=len(selected)):
+        for project in selected:
+            choice = choose_ddl_file(list(project.sql_files), dialects=preference)
+            if not choice.accepted:
+                omitted[choice.verdict] = omitted.get(choice.verdict, 0) + 1
+                continue
+            assert choice.chosen is not None
+            tasks.append(
+                ProjectTask(
+                    project.repo_name,
+                    choice.chosen.path,
+                    project.metadata.domain,
+                    dialect=dialect_for_choice(choice.chosen.path, dialects),
+                )
+            )
+    return len(selected), tasks, omitted
+
+
 def run_funnel(
     activity: GithubActivityDataset,
     lib_io: LibrariesIoDataset,
@@ -143,29 +178,9 @@ def run_funnel(
     """
     report = FunnelReport()
     report.sql_collection_repos = activity.repository_count()
-    preference = vendor_preference(dialects)
-    with trace("funnel.select"):
-        selected = select_lib_io(activity, lib_io, criteria)
-    report.joined_and_filtered = len(selected)
-
-    tasks: list[ProjectTask] = []
-    with trace("funnel.choose_paths", candidates=len(selected)):
-        for project in selected:
-            choice = choose_ddl_file(list(project.sql_files), dialects=preference)
-            if not choice.accepted:
-                report.omitted_by_paths[choice.verdict] = (
-                    report.omitted_by_paths.get(choice.verdict, 0) + 1
-                )
-                continue
-            assert choice.chosen is not None
-            tasks.append(
-                ProjectTask(
-                    project.repo_name,
-                    choice.chosen.path,
-                    project.metadata.domain,
-                    dialect=dialect_for_choice(choice.chosen.path, dialects),
-                )
-            )
+    report.joined_and_filtered, tasks, report.omitted_by_paths = select_tasks(
+        activity, lib_io, criteria, dialects
+    )
     report.lib_io_projects = len(tasks)
 
     if pipeline is None:

@@ -1,5 +1,5 @@
-"""Incremental ingest: funnel -> :class:`CorpusStore`, measuring only
-what changed.
+"""Incremental ingest: a corpus or a synthesis stream -> :class:`CorpusStore`,
+measuring only what changed.
 
 A project's identity is the content fingerprint of its DDL history —
 the ``text_key`` of every usable version (the pipeline cache's key
@@ -13,36 +13,42 @@ diff, or measure.  Re-ingesting an unchanged corpus therefore performs
 :class:`~repro.pipeline.stats.PipelineStats` make verifiable:
 ``report.stats.projects == 0``.
 
-Durability: ingest is **checkpointed and resumable**.  Each phase
-writes a progress marker into the store's ``meta`` table, and the
-measure phase persists in chunks — a crash mid-ingest loses at most one
-chunk of work, and the re-run's fingerprint pass skips everything the
-crashed run already persisted (``report.resumed_from`` names the phase
-the previous run died in).  Persisting itself runs under the ingest's
-:class:`~repro.resilience.RetryPolicy`; a project whose rows cannot be
-written even after retries is recorded as a ``persist``-stage
-:class:`~repro.pipeline.stages.ProjectFailure` under a sentinel
-fingerprint, so the next ingest re-measures it instead of trusting a
-half-written row.
-"""
+:func:`ingest_corpus` (the funnel's selection) and :func:`ingest_stream`
+(a synthesis stream) run one chunked loop: fingerprint a chunk, read its
+stored fingerprints once, measure the changed projects on the execution
+backend, write them in one ``persist_batch`` transaction, and checkpoint
+``{"version": 1, "source": <identity>, "next_index": n}`` under
+:data:`INGEST_CHECKPOINT_KEY`.  Memory is bounded by the chunk, and a
+crash loses at most one.  The identity is the source's (its kind; for a
+stream also seed, profile, epoch and dialects) plus the config the
+fingerprint hashes, and a re-run under the same identity reports
+``resumed_from``.  A stream resumes at ``next_index`` (project *i* is a
+pure function of the spec and *i*); a corpus restarts at 0 and proves
+the persisted prefix by fingerprint (a provider's repositories can
+change between runs).  Any other record is ignored, which is safe
+because persists are idempotent upserts.
 
+Under fault injection, or when a batch raises, the chunk is written row
+by row under the ingest's :class:`~repro.resilience.RetryPolicy`; a
+project whose rows cannot be written even after retries is recorded as
+a ``persist``-stage :class:`~repro.pipeline.stages.ProjectFailure` under
+a sentinel fingerprint, so the next ingest re-measures it instead of
+trusting a half-written row.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.heartbeat import DEFAULT_REED_LIMIT
+from repro.mining.funnel import RepoProvider, select_tasks
 from repro.mining.github_activity import GithubActivityDataset
 from repro.mining.librariesio import LibrariesIoDataset
-from repro.mining.path_filters import (
-    MultiFileVerdict,
-    choose_ddl_file,
-    dialect_for_choice,
-    vendor_preference,
-)
-from repro.mining.selection import SelectionCriteria, select_lib_io
+from repro.mining.path_filters import MultiFileVerdict
+from repro.mining.selection import SelectionCriteria
 from repro.obs.trace import trace
 from repro.pipeline.cache import SchemaCache, text_key
 from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
@@ -51,6 +57,7 @@ from repro.pipeline.stages import (
     ProjectContext,
     ProjectFailure,
     ProjectTask,
+    SeedMap,
     usable_versions,
 )
 from repro.pipeline.stats import PipelineStats
@@ -68,7 +75,7 @@ MISSING_REPO_FINGERPRINT = "missing-repo"
 #: the next ingest re-measures (and re-persists) the project.
 PERSIST_FAILED_FINGERPRINT = "persist-failed"
 
-#: The meta key the phase checkpoint lives under while a run is active.
+#: The meta key the checkpoint record lives under while a run is active.
 INGEST_CHECKPOINT_KEY = "ingest_checkpoint"
 
 
@@ -89,7 +96,7 @@ class IngestReport:
     failed: int = 0
     wall_seconds: float = 0.0
     stats: PipelineStats | None = None
-    resumed_from: str | None = None  # phase an interrupted run died in
+    resumed_from: str | None = None  # source kind of the interrupted run
     stream_count: int | None = None  # streamed ingest: total stream length
     stream_resumed_at: int | None = None  # streamed ingest: first index run
 
@@ -106,7 +113,7 @@ class IngestReport:
         ]
         if self.resumed_from is not None:
             lines.insert(
-                1, f"  resumed:           from interrupted {self.resumed_from!r} phase"
+                1, f"  resumed:           from an interrupted {self.resumed_from!r} run"
             )
         return "\n".join(lines)
 
@@ -224,11 +231,190 @@ def _persist_resiliently(
     store.persist_context(fallback, PERSIST_FAILED_FINGERPRINT)
 
 
+def _fingerprint(
+    tasks: list[ProjectTask], provider: RepoProvider, config: PipelineConfig
+) -> tuple[SeedMap, dict[str, str]]:
+    """Every task's fingerprint, plus the extracted history (seed) of each
+    task whose provider answered; one that raised gets no seed."""
+    seeds: SeedMap = {}
+    fingerprints: dict[str, str] = {}
+    for task in tasks:
+        try:
+            repo = provider(task.repo_name)
+            versions = (
+                usable_versions(
+                    extract_file_history(repo, task.ddl_path, policy=config.policy)
+                )
+                if repo is not None
+                else []
+            )
+            fingerprint = history_fingerprint(task, repo, versions, config)
+        except Exception:
+            fingerprints[task.repo_name] = MISSING_REPO_FINGERPRINT
+            continue
+        fingerprints[task.repo_name] = fingerprint
+        seeds[task.repo_name] = (repo, versions)
+    return seeds, fingerprints
+
+
+def _measure(
+    tasks: list[ProjectTask],
+    seeds: SeedMap,
+    provider: RepoProvider,
+    config: PipelineConfig,
+    cache: SchemaCache | None,
+    stats: PipelineStats,
+) -> list[ProjectContext]:
+    """Measure *tasks* on the configured backend, results in task order.
+
+    Seeded tasks replay their fingerprinted histories (the process
+    backend ships those to its workers); an unseeded task reruns its
+    provider crash in the extract stage, which records it as a
+    :class:`~repro.pipeline.stages.ProjectFailure` like any other.
+    """
+    if not tasks:
+        return []
+    if cache is None:
+        # A fresh in-memory cache per chunk keeps the parse/diff cache
+        # from growing with the corpus; a cache_dir still shares.
+        cache = SchemaCache(config.cache_dir, registry=stats.registry)
+    contexts: dict[str, ProjectContext] = {}
+    for seeded in (True, False):
+        batch = [task for task in tasks if (task.repo_name in seeds) is seeded]
+        if batch:
+            pipeline = MeasurementPipeline(
+                provider, config, cache, seeds=seeds if seeded else None
+            )
+            pipeline.stats = stats
+            for task, ctx in zip(batch, pipeline.run(batch)):
+                contexts[task.repo_name] = ctx
+    return [contexts[task.repo_name] for task in tasks]
+
+
+def _persist(
+    store: CorpusStore,
+    items: list[tuple[ProjectContext, str]],
+    config: PipelineConfig,
+    stats: PipelineStats,
+) -> None:
+    """Write one chunk in one batch; row by row under fault injection
+    (it draws per project and attempt) or when the batch raised."""
+    with trace("ingest.persist", contexts=len(items)):
+        if config.injector is None:
+            try:
+                store.persist_batch(items)
+                return
+            except Exception:
+                fallbacks = "repro_ingest_persist_batch_fallbacks_total"
+                stats.registry.counter(fallbacks).inc()
+        for ctx, fingerprint in items:
+            _persist_resiliently(
+                store, ctx, fingerprint, config.retry, config.injector, stats
+            )
+
+
+def _ingest(
+    store: CorpusStore,
+    report: IngestReport,
+    source: dict,
+    chunk_of: Callable[[int, int], tuple[list[ProjectTask], RepoProvider]],
+    config: PipelineConfig,
+    cache: SchemaCache | None,
+    chunk_size: int | None,
+    started: float,
+    resumes: bool = False,
+    keep: list[str] | None = None,
+) -> IngestReport:
+    """The chunked loop behind both entry points, over ``report.tasks`` tasks.
+
+    ``chunk_of(start, stop)`` returns the tasks at those indices and the
+    provider of their repositories; *source* (``kind`` and the source's
+    parameters) enters the checkpoint identity.  Only a source that
+    *resumes* restarts at the checkpoint's index.  *keep* prunes every
+    stored project it does not name.
+    """
+    identity = {
+        **source,
+        "policy": config.policy.name,
+        "reed_limit": config.reed_limit,
+        "lenient": config.lenient,
+    }
+    count, start = report.tasks, 0
+    raw = store.get_meta(INGEST_CHECKPOINT_KEY)
+    previous = json.loads(raw) if raw is not None else None
+    if (
+        isinstance(previous, dict)
+        and previous.get("version") == 1
+        and previous.get("source") == identity
+    ):
+        report.resumed_from = identity["kind"]
+        if resumes:
+            start = min(int(previous["next_index"]), count)
+
+    def checkpoint(next_index: int) -> None:
+        record = {"version": 1, "source": identity, "next_index": next_index}
+        store.set_meta(INGEST_CHECKPOINT_KEY, json.dumps(record, sort_keys=True))
+
+    checkpoint(start)
+    if resumes:
+        report.stream_count, report.stream_resumed_at = count, start
+    report.skipped_unchanged = start  # the resumed prefix is proven persisted
+    stats = PipelineStats(
+        jobs=max(1, config.jobs), cache=cache.counters if cache is not None else None
+    )
+    chunk = chunk_size if chunk_size is not None else max(8, config.jobs * 4)
+    with trace(
+        "ingest.run", source=identity["kind"], count=count, start=start, chunk=chunk
+    ):
+        for chunk_start in range(start, count, chunk):
+            chunk_stop = min(chunk_start + chunk, count)
+            with trace("ingest.source", start=chunk_start, stop=chunk_stop):
+                tasks, provider = chunk_of(chunk_start, chunk_stop)
+            with trace("ingest.fingerprint", tasks=len(tasks)) as span:
+                seeds, fingerprints = _fingerprint(tasks, provider, config)
+                stored = store.fingerprints(list(fingerprints))
+                changed = [
+                    task
+                    for task in tasks
+                    if task.repo_name not in seeds
+                    or stored.get(task.repo_name) != fingerprints[task.repo_name]
+                ]
+                if span is not None:
+                    span.attrs["changed"] = len(changed)
+            contexts = _measure(changed, seeds, provider, config, cache, stats)
+            _persist(
+                store,
+                [(ctx, fingerprints[ctx.task.repo_name]) for ctx in contexts],
+                config,
+                stats,
+            )
+            report.measured += len(contexts)
+            report.skipped_unchanged += len(tasks) - len(changed)
+            checkpoint(chunk_stop)
+        if keep is not None:
+            with trace("ingest.prune"):
+                report.pruned = store.prune_missing(keep)
+        with trace("ingest.analyze"):
+            store.analyze()
+    store.delete_meta(INGEST_CHECKPOINT_KEY)  # the run completed; nothing to resume
+
+    outcomes = store.aggregates()["by_outcome"]
+    report.zero_versions = outcomes.get(Outcome.ZERO_VERSIONS.value, 0)
+    report.no_create = outcomes.get(Outcome.NO_CREATE.value, 0)
+    report.rigid = outcomes.get(Outcome.RIGID.value, 0)
+    report.studied = outcomes.get(Outcome.STUDIED.value, 0)
+    report.failed = outcomes.get(Outcome.FAILED.value, 0)
+    report.stats = stats
+    report.wall_seconds = time.perf_counter() - started
+    return report
+
+
 def ingest_corpus(
     store: CorpusStore,
     activity: GithubActivityDataset,
     lib_io: LibrariesIoDataset,
-    provider,
+    provider: RepoProvider,
+    *,
     criteria: SelectionCriteria = SelectionCriteria(),
     policy: LinearizationPolicy = LinearizationPolicy.FULL,
     reed_limit: int = DEFAULT_REED_LIMIT,
@@ -245,196 +431,50 @@ def ingest_corpus(
 ) -> IngestReport:
     """Run the funnel front, measure the changed delta, persist it all.
 
-    The front half mirrors :func:`repro.mining.funnel.run_funnel`
-    (selection, path post-processing); the back half replaces blanket
-    re-measurement with the fingerprint delta.  Projects whose history
-    cannot even be extracted (a crashing provider) are handed to the
-    ordinary pipeline so the failure is recorded uniformly as a
-    :class:`~repro.pipeline.stages.ProjectFailure`.
+    The front half is the funnel's own selection
+    (:func:`repro.mining.funnel.select_tasks`); the back half replaces
+    blanket re-measurement with the fingerprint delta.  Projects whose
+    history cannot even be extracted (a crashing provider) go through
+    the ordinary pipeline, so the failure is recorded uniformly as a
+    :class:`~repro.pipeline.stages.ProjectFailure`; with ``prune``,
+    stored projects that left the corpus are dropped.
 
     ``retry``/``project_deadline``/``injector``/``executor``
-    parameterize the measurement pipeline exactly as in ``run_funnel``
-    (the chunked measure phase routes through the selected execution
-    backend, so ``--jobs N --executor process`` parallelizes ingest
-    without giving up checkpointed resume); ``retry`` also governs the
-    persist step.  Measurement and persistence interleave
-    in chunks of ``chunk_size`` (default ``max(8, jobs * 4)``) so a
-    crash loses at most one chunk; the phase checkpoint under the
-    store's :data:`INGEST_CHECKPOINT_KEY` survives the crash and the
-    re-run reports ``resumed_from``.
+    parameterize the measurement pipeline exactly as in ``run_funnel``;
+    ``retry`` also governs the row-by-row persist fallback.  Chunks hold
+    ``chunk_size`` projects (default ``max(8, jobs * 4)``), so a crash
+    loses at most one; the re-run reports ``resumed_from == "corpus"``.
     """
     started = time.perf_counter()
-    report = IngestReport()
+    joined, tasks, omitted = select_tasks(activity, lib_io, criteria, dialects)
+    store.record_funnel_front(
+        sql_collection_repos=activity.repository_count(),
+        joined_and_filtered=joined,
+        lib_io_projects=len(tasks),
+        omitted_by_paths=omitted,
+    )
     config = PipelineConfig(
         policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
         retry=retry, project_deadline=project_deadline, injector=injector,
         executor=executor,
     )
-
-    previous = store.get_meta(INGEST_CHECKPOINT_KEY)
-    if previous is not None:
-        report.resumed_from = json.loads(previous).get("phase")
-
-    def _mark(phase: str, **extra) -> None:
-        store.set_meta(
-            INGEST_CHECKPOINT_KEY,
-            json.dumps({"phase": phase, **extra}, sort_keys=True),
-        )
-
-    preference = vendor_preference(dialects)
-    with trace("ingest.select"):
-        selected = select_lib_io(activity, lib_io, criteria)
-        report.selected = len(selected)
-        tasks: list[ProjectTask] = []
-        for project in selected:
-            choice = choose_ddl_file(list(project.sql_files), dialects=preference)
-            if not choice.accepted:
-                report.omitted_by_paths[choice.verdict] = (
-                    report.omitted_by_paths.get(choice.verdict, 0) + 1
-                )
-                continue
-            assert choice.chosen is not None
-            tasks.append(
-                ProjectTask(
-                    project.repo_name,
-                    choice.chosen.path,
-                    project.metadata.domain,
-                    dialect=dialect_for_choice(choice.chosen.path, dialects),
-                )
-            )
-        report.tasks = len(tasks)
-        store.record_funnel_front(
-            sql_collection_repos=activity.repository_count(),
-            joined_and_filtered=report.selected,
-            lib_io_projects=report.tasks,
-            omitted_by_paths=report.omitted_by_paths,
-        )
-        _mark("select", tasks=report.tasks)
-
-    # -- fingerprint pass: prove projects unchanged without measuring ----
-    known = store.fingerprints()
-    seeds: dict[str, tuple[Repository | None, list[FileVersion]]] = {}
-    fingerprints: dict[str, str] = {}
-    changed: list[ProjectTask] = []
-    unextractable: list[ProjectTask] = []
-    with trace("ingest.fingerprint", tasks=len(tasks)) as fp_span:
-        for task in tasks:
-            try:
-                repo = provider(task.repo_name)
-                versions = (
-                    usable_versions(
-                        extract_file_history(repo, task.ddl_path, policy=policy)
-                    )
-                    if repo is not None
-                    else []
-                )
-                fingerprint = history_fingerprint(task, repo, versions, config)
-            except Exception:
-                # Reproduce the crash inside the pipeline so it is isolated
-                # and recorded as a ProjectFailure like any other.
-                unextractable.append(task)
-                fingerprints[task.repo_name] = MISSING_REPO_FINGERPRINT
-                continue
-            fingerprints[task.repo_name] = fingerprint
-            if known.get(task.repo_name) == fingerprint:
-                report.skipped_unchanged += 1
-                continue
-            seeds[task.repo_name] = (repo, versions)
-            changed.append(task)
-        if fp_span is not None:
-            fp_span.attrs["unchanged"] = report.skipped_unchanged
-            fp_span.attrs["changed"] = len(changed)
-    _mark("fingerprint", changed=len(changed), unchanged=report.skipped_unchanged)
-
-    # -- measurement pass: only the delta enters the pipeline ------------
-    shared_cache = cache if cache is not None else SchemaCache(config.cache_dir)
-    # Seeding (rather than a custom stage chain) keeps the pipeline
-    # executable on any backend: the process backend ships each worker
-    # its tasks' repositories and pre-extracted version lists.
-    pipeline = MeasurementPipeline(
-        provider=lambda name: seeds.get(name, (None, []))[0],
-        config=config,
-        cache=shared_cache,
-        seeds=seeds,
+    return _ingest(
+        store,
+        IngestReport(selected=joined, tasks=len(tasks), omitted_by_paths=omitted),
+        {"kind": "corpus"},
+        lambda start, stop: (tasks[start:stop], provider),
+        config,
+        cache,
+        chunk_size,
+        started,
+        keep=[task.repo_name for task in tasks] if prune else None,
     )
-    # Measure and persist interleave in chunks: each chunk's rows are
-    # durable (and checkpointed) before the next chunk is measured, so
-    # a crash loses at most one chunk and the re-run's fingerprint pass
-    # proves the persisted prefix unchanged.
-    chunk = chunk_size if chunk_size is not None else max(8, config.jobs * 4)
-    persisted = 0
-
-    def _persist_batch(contexts: list[ProjectContext]) -> None:
-        nonlocal persisted
-        with trace("ingest.persist", contexts=len(contexts)):
-            for ctx in contexts:
-                _persist_resiliently(
-                    store,
-                    ctx,
-                    fingerprints[ctx.task.repo_name],
-                    retry,
-                    injector,
-                    pipeline.stats,
-                )
-        persisted += len(contexts)
-        _mark("measure", persisted=persisted, changed=len(changed))
-
-    with trace("ingest.measure", changed=len(changed)):
-        for start in range(0, len(changed), chunk):
-            _persist_batch(pipeline.run(changed[start:start + chunk]))
-        if unextractable:
-            crash_pipeline = MeasurementPipeline(
-                provider=provider, config=config, cache=shared_cache
-            )
-            crash_pipeline.stats = pipeline.stats
-            _persist_batch(crash_pipeline.run(unextractable))
-    report.measured = persisted
-
-    if prune:
-        with trace("ingest.prune"):
-            report.pruned = store.prune_missing(fingerprints)
-
-    store.delete_meta(INGEST_CHECKPOINT_KEY)  # the run completed; no resume needed
-
-    outcomes = store.aggregates()["by_outcome"]
-    report.zero_versions = outcomes.get(Outcome.ZERO_VERSIONS.value, 0)
-    report.no_create = outcomes.get(Outcome.NO_CREATE.value, 0)
-    report.rigid = outcomes.get(Outcome.RIGID.value, 0)
-    report.studied = outcomes.get(Outcome.STUDIED.value, 0)
-    report.failed = outcomes.get(Outcome.FAILED.value, 0)
-    report.stats = pipeline.stats
-    report.wall_seconds = time.perf_counter() - started
-    return report
-
-
-def _stream_checkpoint_start(store: CorpusStore, spec) -> tuple[int, str | None]:
-    """Where to resume a streamed ingest: (first index, interrupted phase).
-
-    The checkpoint is trusted only when its stream identity — seed,
-    profile, epoch — matches *spec*; a checkpoint left by a different
-    stream (or by classic ingest) restarts from index 0, which is safe
-    because streamed persists are idempotent upserts.
-    """
-    raw = store.get_meta(INGEST_CHECKPOINT_KEY)
-    if raw is None:
-        return 0, None
-    checkpoint = json.loads(raw)
-    phase = checkpoint.get("phase")
-    if (
-        phase == "stream"
-        and checkpoint.get("seed") == spec.seed
-        and checkpoint.get("profile") == spec.profile
-        and checkpoint.get("epoch_start") == spec.epoch_start
-        and tuple(checkpoint.get("dialects", ["mysql"]))
-        == tuple(getattr(spec, "dialects", ("mysql",)))
-    ):
-        return min(int(checkpoint.get("next_index", 0)), spec.count), phase
-    return 0, phase
 
 
 def ingest_stream(
     store: CorpusStore,
     spec,
+    *,
     policy: LinearizationPolicy = LinearizationPolicy.FULL,
     reed_limit: int = DEFAULT_REED_LIMIT,
     jobs: int = 1,
@@ -451,148 +491,51 @@ def ingest_stream(
     The constant-memory counterpart of :func:`ingest_corpus` for
     *synthetic* corpora: *spec* is a
     :class:`~repro.synthesis.stream.StreamSpec`, and projects are
-    generated, measured and persisted **one chunk at a time** — at no
-    point does more than ``chunk_size`` projects' worth of
-    repositories, seeds or measured contexts exist in memory, so peak
-    RSS is a function of the chunk size, not of ``spec.count``.
-
-    Everything else mirrors classic ingest:
-
-    - the chunk's measure phase routes through the configured execution
-      backend (``jobs``/``executor``), so ``--jobs 4 --executor
-      process`` parallelizes each chunk across cores;
-    - each chunk persists through the store's batched
-      :meth:`~repro.store.store.CorpusStore.persist_batch` — one
-      transaction per chunk — then advances the checkpoint under
-      :data:`INGEST_CHECKPOINT_KEY` to the next stream index, so a
-      killed run resumes **by index**, regenerating nothing before the
-      checkpoint (per-project seeds make any suffix of the stream
-      independently reproducible);
-    - unchanged projects (matching history fingerprints) are skipped
-      without measuring, so re-running the same spec measures zero;
-    - after the last chunk the store runs ``ANALYZE`` so the query
-      planner sees the post-bulk row counts.
+    generated, measured and persisted **one chunk at a time**, so peak
+    RSS is a function of ``chunk_size``, not of ``spec.count``.  It runs
+    the same loop with the same knobs, and the store ends byte-identical
+    to materialize-then-:func:`ingest_corpus`.  A killed run resumes
+    **by index**, regenerating nothing before the checkpoint
+    (per-project seeds make any suffix of the stream reproducible), and
+    reports ``resumed_from == "stream"`` and ``stream_resumed_at``.
     """
     from repro.synthesis.stream import stream_projects  # cycle-free late import
 
     started = time.perf_counter()
-    report = IngestReport(stream_count=spec.count)
-    config = PipelineConfig(
-        policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
-        retry=retry, project_deadline=project_deadline, injector=injector,
-        executor=executor,
-    )
-    start, interrupted_phase = _stream_checkpoint_start(store, spec)
-    if interrupted_phase is not None:
-        report.resumed_from = interrupted_phase
-    report.stream_resumed_at = start
-    report.selected = report.tasks = spec.count
-
     store.record_funnel_front(
         sql_collection_repos=spec.count,
         joined_and_filtered=spec.count,
         lib_io_projects=spec.count,
         omitted_by_paths={},
     )
+    config = PipelineConfig(
+        policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
+        retry=retry, project_deadline=project_deadline, injector=injector,
+        executor=executor,
+    )
 
-    def _mark(next_index: int) -> None:
-        store.set_meta(
-            INGEST_CHECKPOINT_KEY,
-            json.dumps(
-                {
-                    "phase": "stream",
-                    "next_index": next_index,
-                    "seed": spec.seed,
-                    "profile": spec.profile,
-                    "epoch_start": spec.epoch_start,
-                    "count": spec.count,
-                    "dialects": list(getattr(spec, "dialects", ("mysql",))),
-                },
-                sort_keys=True,
-            ),
-        )
+    def chunk_of(start: int, stop: int) -> tuple[list[ProjectTask], RepoProvider]:
+        projects = list(stream_projects(spec, start, stop))
+        tasks = [
+            ProjectTask(p.name, p.ddl_path, p.plan.domain, dialect=p.dialect)
+            for p in projects
+        ]
+        return tasks, {p.name: p.repo for p in projects}.get
 
-    chunk = chunk_size if chunk_size is not None else max(8, config.jobs * 4)
-    stats: PipelineStats | None = None
-    report.skipped_unchanged = start  # the resumed prefix is proven persisted
-    with trace("ingest.stream", count=spec.count, start=start, chunk=chunk):
-        for chunk_start in range(start, spec.count, chunk):
-            chunk_stop = min(chunk_start + chunk, spec.count)
-            seeds: dict[str, tuple[Repository | None, list[FileVersion]]] = {}
-            tasks: list[ProjectTask] = []
-            fingerprints: dict[str, str] = {}
-            changed: list[ProjectTask] = []
-            with trace("ingest.stream.synthesize", start=chunk_start, stop=chunk_stop):
-                for streamed in stream_projects(spec, chunk_start, chunk_stop):
-                    task = ProjectTask(
-                        streamed.name,
-                        streamed.ddl_path,
-                        streamed.plan.domain,
-                        dialect=getattr(streamed, "dialect", "mysql"),
-                    )
-                    tasks.append(task)
-                    versions = usable_versions(
-                        extract_file_history(
-                            streamed.repo, streamed.ddl_path, policy=policy
-                        )
-                    )
-                    fingerprint = history_fingerprint(
-                        task, streamed.repo, versions, config
-                    )
-                    fingerprints[task.repo_name] = fingerprint
-                    stored = store.get_project(task.repo_name)
-                    if stored is not None and stored.history_hash == fingerprint:
-                        report.skipped_unchanged += 1
-                        continue
-                    seeds[task.repo_name] = (streamed.repo, versions)
-                    changed.append(task)
-            # A fresh in-memory cache per chunk (unless the caller pinned
-            # one) keeps the parse/diff cache from growing with the
-            # stream; an on-disk cache_dir shares across chunks as usual.
-            chunk_cache = cache if cache is not None else SchemaCache(config.cache_dir)
-            pipeline = MeasurementPipeline(
-                provider=lambda name: seeds.get(name, (None, []))[0],
-                config=config,
-                cache=chunk_cache,
-                seeds=seeds,
-            )
-            if stats is None:
-                stats = pipeline.stats
-            else:
-                pipeline.stats = stats
-            contexts = pipeline.run(changed) if changed else []
-            with trace("ingest.stream.persist", contexts=len(contexts)):
-                if injector is None and retry.max_attempts <= 1:
-                    store.persist_batch(
-                        [
-                            (ctx, fingerprints[ctx.task.repo_name])
-                            for ctx in contexts
-                        ]
-                    )
-                else:
-                    # Fault injection / retry fidelity: the sequential
-                    # resilient path records persist failures per project.
-                    for ctx in contexts:
-                        _persist_resiliently(
-                            store,
-                            ctx,
-                            fingerprints[ctx.task.repo_name],
-                            retry,
-                            injector,
-                            pipeline.stats,
-                        )
-            report.measured += len(contexts)
-            _mark(chunk_stop)
-    with trace("ingest.analyze"):
-        store.analyze()
-    store.delete_meta(INGEST_CHECKPOINT_KEY)
-
-    outcomes = store.aggregates()["by_outcome"]
-    report.zero_versions = outcomes.get(Outcome.ZERO_VERSIONS.value, 0)
-    report.no_create = outcomes.get(Outcome.NO_CREATE.value, 0)
-    report.rigid = outcomes.get(Outcome.RIGID.value, 0)
-    report.studied = outcomes.get(Outcome.STUDIED.value, 0)
-    report.failed = outcomes.get(Outcome.FAILED.value, 0)
-    report.stats = stats
-    report.wall_seconds = time.perf_counter() - started
-    return report
+    return _ingest(
+        store,
+        IngestReport(selected=spec.count, tasks=spec.count),
+        {
+            "kind": "stream",
+            "seed": spec.seed,
+            "profile": spec.profile,
+            "epoch_start": spec.epoch_start,
+            "dialects": list(spec.dialects),
+        },
+        chunk_of,
+        config,
+        cache,
+        chunk_size,
+        started,
+        resumes=True,
+    )

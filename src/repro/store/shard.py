@@ -262,9 +262,10 @@ class ShardedCorpusStore:
     def delete_meta(self, key: str) -> None:
         self.coordinator.delete_meta(key)
 
-    def fingerprints(self) -> dict[str, str]:
+    def fingerprints(self, names: Iterable[str] | None = None) -> dict[str, str]:
+        wanted = list(names) if names is not None else None
         merged: dict[str, str] = {}
-        for part in self._scatter(lambda shard: shard.fingerprints()):
+        for part in self._scatter(lambda shard: shard.fingerprints(wanted)):
             merged.update(part)
         return merged
 
@@ -314,14 +315,15 @@ class ShardedCorpusStore:
         if ids is not None and any(forced is not None for forced in ids):
             raise StoreError("the sharded store allocates its own global ids")
         with self._id_lock:
+            stored = self.fingerprints(ctx.task.repo_name for ctx, _ in items)
             per_shard: dict[int, tuple[list, list]] = {}
             next_id = self._peek_next_id()
             allocated = next_id
             for ctx, history_hash in items:
                 name = ctx.task.repo_name
-                index, shard = self._shard_for(name)
+                index = shard_index(name, self.shard_count)
                 forced = None
-                if shard.get_project(name) is None:
+                if name not in stored:
                     forced = allocated
                     allocated += 1
                 bucket = per_shard.setdefault(index, ([], []))

@@ -696,10 +696,25 @@ class CorpusStore:
         with self._write_tx() as conn:
             conn.execute("DELETE FROM meta WHERE key = ?", (key,))
 
-    def fingerprints(self) -> dict[str, str]:
-        """name -> stored history fingerprint, for the ingest delta."""
+    def fingerprints(self, names: Iterable[str] | None = None) -> dict[str, str]:
+        """name -> stored history fingerprint, for the ingest delta.
+
+        *names* limits the read to those projects (absent ones are simply
+        missing from the result), so a chunked ingest reads one chunk's
+        fingerprints, never the whole table.
+        """
+        sql = "SELECT name, history_hash FROM projects"
         with self._read_tx() as conn:
-            rows = conn.execute("SELECT name, history_hash FROM projects").fetchall()
+            if names is None:
+                rows = conn.execute(sql).fetchall()
+            else:
+                wanted, rows = list(names), []
+                # Slices of 500 stay under sqlite's 999-parameter cap.
+                for start in range(0, len(wanted), 500):
+                    part = wanted[start:start + 500]
+                    rows += conn.execute(
+                        f"{sql} WHERE name IN ({', '.join('?' * len(part))})", part
+                    ).fetchall()
         return {row["name"]: row["history_hash"] for row in rows}
 
     @staticmethod

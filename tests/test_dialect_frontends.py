@@ -241,7 +241,7 @@ MIXED = ("mysql", "postgresql", "sqlite")
 def _mixed_store(tmp_path, count=30, seed=7, name="corpus.sqlite"):
     store = CorpusStore(tmp_path / name)
     spec = StreamSpec(seed=seed, count=count, dialects=MIXED)
-    ingest_stream(store, spec, tmp_path / f"{name}.stream")
+    ingest_stream(store, spec)
     return store
 
 
@@ -305,11 +305,7 @@ class TestStoreDialect:
 
         single = _mixed_store(tmp_path, name="single.sqlite")
         sharded = ShardedCorpusStore(tmp_path / "sharded.sqlite", shards=3)
-        ingest_stream(
-            sharded,
-            StreamSpec(seed=7, count=30, dialects=MIXED),
-            tmp_path / "sharded.stream",
-        )
+        ingest_stream(sharded, StreamSpec(seed=7, count=30, dialects=MIXED))
         assert sharded.aggregates()["by_dialect"] == single.aggregates()["by_dialect"]
         assert sharded.taxa_by_dialect() == single.taxa_by_dialect()
         assert sharded.dialect_profiles() == single.dialect_profiles()
@@ -433,9 +429,7 @@ class TestDialectReporting:
         from repro.reporting.experiments import render_dialect_comparison
 
         store = CorpusStore(tmp_path / "mono.sqlite")
-        ingest_stream(
-            store, StreamSpec(seed=7, count=10), tmp_path / "mono.stream"
-        )
+        ingest_stream(store, StreamSpec(seed=7, count=10))
         assert render_dialect_comparison(store.dialect_profiles()) == ""
 
 

@@ -464,28 +464,27 @@ class TestIngestResume:
 
         activity, lib_io, repos = _corpus()
         store = CorpusStore(tmp_path / "corpus.db")
-        original = store.persist_context
+        original = store.persist_batch
         written = []
 
-        def dying_persist(ctx, fingerprint):
+        def dying_persist(items, ids=None):
             if len(written) >= 2:
                 raise RuntimeError("disk full")
-            written.append(ctx.task.repo_name)
-            return original(ctx, fingerprint)
+            written.extend(ctx.task.repo_name for ctx, _ in items)
+            return original(items, ids)
 
-        monkeypatch.setattr(store, "persist_context", dying_persist)
+        monkeypatch.setattr(store, "persist_batch", dying_persist)
         with pytest.raises(RuntimeError, match="disk full"):
             ingest_corpus(store, activity, lib_io, repos.get, chunk_size=2)
 
         # The first chunk is durable and the checkpoint survived the crash.
         checkpoint = json.loads(store.get_meta(INGEST_CHECKPOINT_KEY))
-        assert checkpoint["phase"] == "measure"
-        assert checkpoint["persisted"] == 2
+        assert checkpoint["next_index"] == 2
         assert store.project_count() == 2
 
-        monkeypatch.setattr(store, "persist_context", original)
+        monkeypatch.setattr(store, "persist_batch", original)
         report = ingest_corpus(store, activity, lib_io, repos.get, chunk_size=2)
-        assert report.resumed_from == "measure"
+        assert report.resumed_from == "corpus"
         # The fingerprint pass proves the crashed run's prefix unchanged;
         # only the lost chunk is re-measured.
         assert report.skipped_unchanged == 2
@@ -496,6 +495,60 @@ class TestIngestResume:
         follow_up = ingest_corpus(store, activity, lib_io, repos.get)
         assert follow_up.resumed_from is None
         assert follow_up.measured == 0 and follow_up.skipped_unchanged == 4
+        store.close()
+
+    def test_corpus_chunks_persist_in_one_batch_each(self, monkeypatch):
+        from repro.store import CorpusStore, ingest_corpus
+
+        activity, lib_io, repos = _corpus()
+        store = CorpusStore(":memory:")
+        calls = {"persist_batch": 0, "persist_context": 0}
+        for method in calls:
+            original = getattr(store, method)
+
+            def counted(*args, _method=method, _original=original, **kwargs):
+                calls[_method] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(store, method, counted)
+        report = ingest_corpus(store, activity, lib_io, repos.get, chunk_size=2)
+        assert report.measured == 4
+        assert calls == {"persist_batch": 2, "persist_context": 0}
+        store.close()
+
+    def test_unwritable_row_falls_back_to_per_row_writes(self, tmp_path, monkeypatch):
+        from repro.pipeline.stages import Outcome
+        from repro.store import (
+            PERSIST_FAILED_FINGERPRINT,
+            CorpusStore,
+            ingest_stream,
+        )
+        from repro.synthesis.stream import StreamSpec, synthesize_project
+
+        spec = StreamSpec(seed=3, count=6)
+        victim = synthesize_project(spec, 2).name
+        store = CorpusStore(tmp_path / "fallback.db")
+        upsert = store._project_upsert
+
+        def refusing_upsert(ctx, history_hash, project_id):
+            # The measured row cannot be written; its failure record can.
+            if ctx.task.repo_name == victim and ctx.outcome is not Outcome.FAILED:
+                raise ValueError("row too large")
+            return upsert(ctx, history_hash, project_id)
+
+        monkeypatch.setattr(store, "_project_upsert", refusing_upsert)
+        report = ingest_stream(store, spec, chunk_size=4)
+        assert report.measured == spec.count
+        assert store.project_count() == spec.count
+        assert store.get_project(victim).history_hash == PERSIST_FAILED_FINGERPRINT
+        [failure] = store.failures()
+        assert (failure.project, failure.stage, failure.error) == (
+            victim, "persist", "ValueError"
+        )
+        assert report.failed == 1
+        assert report.stats.registry.value(
+            "repro_ingest_persist_batch_fallbacks_total"
+        ) == 1
         store.close()
 
     def test_transient_persist_faults_recover_under_retry(self):

@@ -183,6 +183,18 @@ class TestIncrementalIngest:
         assert store.get_project("ok/beta") is None
         assert report.measured == 0  # survivors were all unchanged
 
+    def test_fingerprint_read_is_limited_to_the_names_asked(self):
+        activity, lib_io, repos = small_corpus()
+        store = CorpusStore(":memory:")
+        ingest_corpus(store, activity, lib_io, repos.get)
+        everything = store.fingerprints()
+        # More names than one sqlite statement may bind, mostly absent.
+        asked = ["ok/alpha", "gone/repo"] + [f"pad/{i}" for i in range(1200)]
+        assert store.fingerprints(asked) == {
+            name: everything[name] for name in ("ok/alpha", "gone/repo")
+        }
+        assert store.fingerprints([]) == {}
+
     def test_vanished_repo_is_fingerprinted_and_skipped(self):
         activity, lib_io, repos = small_corpus()
         store = CorpusStore(":memory:")
@@ -239,6 +251,25 @@ class TestFailurePersistence:
         assert healed.failed == 0
         assert store.failures() == []
         assert store.get_project("ok/beta").outcome == Outcome.STUDIED.value
+
+    def test_crashing_provider_keeps_its_row_position(self):
+        activity, lib_io, repos = small_corpus()
+
+        def exploding(name):
+            if name == "ok/alpha":
+                raise RuntimeError("clone timed out")
+            return repos.get(name)
+
+        orders = set()
+        for chunk in (1, 2, 8):
+            store = CorpusStore(":memory:")
+            ingest_corpus(store, activity, lib_io, exploding, chunk_size=chunk)
+            orders.add(tuple((p.id, p.name) for p in store.query_projects().projects))
+            store.close()
+        # The failure row is written in its own chunk, in task order.
+        assert orders == {
+            ((1, "gone/repo"), (2, "ok/alpha"), (3, "ok/beta"), (4, "ok/rigid"))
+        }
 
 
 class TestQueries:

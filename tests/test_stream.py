@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from repro.core.heartbeat import DEFAULT_REED_LIMIT
 from repro.store import (
     CorpusStore,
     INGEST_CHECKPOINT_KEY,
@@ -96,12 +97,32 @@ class TestByteIdentity:
 
     def test_chunk_size_never_changes_the_bytes(self, tmp_path):
         spec = StreamSpec(seed=3, count=13)
-        hashes = set()
-        for chunk in (1, 4, 13, 50):
-            with CorpusStore(tmp_path / f"chunk{chunk}.db") as store:
-                ingest_stream(store, spec, chunk_size=chunk)
-                hashes.add(store.content_hash())
+        corpus = materialize_stream(spec)
+        hashes, id_rows = set(), {}
+        for source in ("stream", "corpus"):
+            for shards in (1, 3):
+                for chunk in (1, 4, 13, 50):
+                    path = tmp_path / f"{source}-{shards}-{chunk}.db"
+                    store = (
+                        CorpusStore(path) if shards == 1
+                        else ShardedCorpusStore(path, shards=shards)
+                    )
+                    with store:
+                        if source == "stream":
+                            ingest_stream(store, spec, chunk_size=chunk)
+                        else:
+                            ingest_corpus(
+                                store, corpus.activity, corpus.lib_io,
+                                corpus.provider, chunk_size=chunk,
+                            )
+                        hashes.add(store.content_hash())
+                        projects = store.query_projects().projects
+                        id_rows.setdefault(source, set()).add(
+                            tuple((p.id, p.name) for p in projects)
+                        )
         assert len(hashes) == 1
+        # Row ids depend on neither the chunk size nor the layout.
+        assert all(len(rows) == 1 for rows in id_rows.values())
 
     def test_sharded_matches_unsharded(self, tmp_path):
         spec = StreamSpec(seed=11, count=16)
@@ -111,6 +132,22 @@ class TestByteIdentity:
         with ShardedCorpusStore(tmp_path / "sharded.db", shards=3) as sharded:
             ingest_stream(sharded, spec, chunk_size=6)
             assert sharded.content_hash() == single_hash
+
+
+def _stream_record(spec, next_index, seed=None):
+    """The checkpoint a killed default-settings ``ingest_stream(spec)``
+    leaves; *seed* overrides the spec's, naming another stream."""
+    source = {
+        "kind": "stream",
+        "seed": spec.seed if seed is None else seed,
+        "profile": spec.profile,
+        "epoch_start": spec.epoch_start,
+        "dialects": ["mysql"],
+        "policy": "FULL",
+        "reed_limit": DEFAULT_REED_LIMIT,
+        "lenient": True,
+    }
+    return json.dumps({"version": 1, "source": source, "next_index": next_index})
 
 
 class TestResume:
@@ -130,19 +167,7 @@ class TestResume:
             # would have left them (names and seeds depend only on the
             # index, never on the count), then the crash's checkpoint.
             ingest_stream(store, StreamSpec(seed=5, count=7), chunk_size=4)
-            store.set_meta(
-                INGEST_CHECKPOINT_KEY,
-                json.dumps(
-                    {
-                        "phase": "stream",
-                        "next_index": 7,
-                        "seed": spec.seed,
-                        "profile": spec.profile,
-                        "epoch_start": spec.epoch_start,
-                        "count": spec.count,
-                    }
-                ),
-            )
+            store.set_meta(INGEST_CHECKPOINT_KEY, _stream_record(spec, next_index=7))
             report = ingest_stream(store, spec, chunk_size=4)
             assert report.resumed_from == "stream"
             assert report.stream_resumed_at == 7
@@ -156,21 +181,97 @@ class TestResume:
     def test_checkpoint_of_a_different_stream_is_ignored(self, tmp_path):
         with CorpusStore(tmp_path / "foreign.db") as store:
             store.set_meta(
-                INGEST_CHECKPOINT_KEY,
-                json.dumps(
-                    {
-                        "phase": "stream",
-                        "next_index": 9,
-                        "seed": 999,
-                        "profile": SPEC.profile,
-                        "epoch_start": SPEC.epoch_start,
-                        "count": SPEC.count,
-                    }
-                ),
+                INGEST_CHECKPOINT_KEY, _stream_record(SPEC, next_index=9, seed=999)
             )
             report = ingest_stream(store, SPEC, chunk_size=8)
             assert report.stream_resumed_at == 0
             assert report.measured == SPEC.count
+
+    def test_old_format_checkpoint_is_ignored(self, tmp_path):
+        spec = StreamSpec(seed=5, count=12)
+        with CorpusStore(tmp_path / "old.db") as store:
+            store.set_meta(
+                INGEST_CHECKPOINT_KEY,
+                json.dumps(
+                    {
+                        "phase": "stream",
+                        "next_index": 7,
+                        "seed": spec.seed,
+                        "profile": spec.profile,
+                        "epoch_start": spec.epoch_start,
+                        "count": spec.count,
+                        "dialects": ["mysql"],
+                    }
+                ),
+            )
+            report = ingest_stream(store, spec, chunk_size=4)
+            assert report.resumed_from is None
+            assert report.stream_resumed_at == 0
+            assert report.measured == spec.count
+            old_hash = store.content_hash()
+        with CorpusStore(tmp_path / "clean.db") as clean:
+            ingest_stream(clean, spec, chunk_size=4)
+            assert clean.content_hash() == old_hash
+
+    def test_resume_under_another_config_remeasures(self, tmp_path, monkeypatch):
+        spec = StreamSpec(seed=5, count=12)
+        with CorpusStore(tmp_path / "reed.db") as store:
+            original = store.persist_batch
+            durable = []
+
+            def dying_persist(items, ids=None):
+                if len(durable) >= 2:
+                    raise RuntimeError("killed")
+                durable.append(len(items))
+                return original(items, ids)
+
+            monkeypatch.setattr(store, "persist_batch", dying_persist)
+            with pytest.raises(RuntimeError, match="killed"):
+                ingest_stream(store, spec, chunk_size=4)
+            monkeypatch.setattr(store, "persist_batch", original)
+            assert store.project_count() == 8
+            # The killed run measured under the default reed limit; a
+            # resume under another limit must not keep its prefix ...
+            resumed = ingest_stream(store, spec, chunk_size=4, reed_limit=5)
+            assert resumed.stream_resumed_at == 0
+            assert resumed.measured == spec.count
+            # ... so the same command again has nothing left to measure.
+            again = ingest_stream(store, spec, chunk_size=4, reed_limit=5)
+            assert again.measured == 0
+
+
+class TestOneEngine:
+    def test_stream_reads_one_fingerprint_slice_per_chunk(self, tmp_path, monkeypatch):
+        calls = {"get_project": 0, "fingerprints": 0}
+        for method in calls:
+            original = getattr(CorpusStore, method)
+
+            def counted(self, *args, _method=method, _original=original, **kwargs):
+                calls[_method] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(CorpusStore, method, counted)
+        spec = StreamSpec(seed=3, count=13)
+        with CorpusStore(tmp_path / "lookups.db") as store:
+            ingest_stream(store, spec, chunk_size=4)
+            again = ingest_stream(store, spec, chunk_size=4)
+        assert again.measured == 0
+        assert calls["get_project"] == 0
+        assert calls["fingerprints"] <= 2 * 4  # two passes of four chunks
+
+    def test_positional_config_is_rejected(self, tmp_path):
+        from repro.mining.selection import SelectionCriteria
+        from repro.vcs.history import LinearizationPolicy
+
+        with CorpusStore(tmp_path / "positional.db") as store:
+            with pytest.raises(TypeError):
+                ingest_stream(store, SPEC, LinearizationPolicy.FULL)
+            corpus = materialize_stream(StreamSpec(seed=3, count=2))
+            with pytest.raises(TypeError):
+                ingest_corpus(
+                    store, corpus.activity, corpus.lib_io, corpus.provider,
+                    SelectionCriteria(),
+                )
 
 
 class TestBoundedMemory:
