@@ -6,7 +6,7 @@ closed-loop throughput on the hot ``/v1/projects`` path against a
 server with the rendered-response cache disabled (cold) vs enabled
 (warm).  The warm run must clear **2x** the cold run — the cache turns
 a store query + JSON render into an ``OrderedDict`` hit — and the
-cache's hit/miss counters must be visible on ``/metrics``.
+cache's hit/miss counters must be visible on ``/v1/metrics``.
 
 A second entry records the seeded mixed-workload numbers (achieved
 req/s, exact p50/p99) so the trajectory shows drift in the full-surface
@@ -102,7 +102,7 @@ def _hot_path_rps(store, response_cache: int) -> tuple[float, dict]:
                 "repro_serve_renders_total", endpoint="/v1/projects"
             ),
         }
-        with urllib.request.urlopen(server.url + "/metrics", timeout=10) as resp:
+        with urllib.request.urlopen(server.url + "/v1/metrics", timeout=10) as resp:
             exposition = resp.read().decode("utf-8")
         counters["exposed"] = (
             "repro_serve_cache_hits_total" in exposition
@@ -141,7 +141,7 @@ def test_bench_response_cache_cold_vs_warm(warm_store):
     assert cold_counters["renders"] >= HOT_CONFIG.requests
     # A warm cache answers nearly everything without rendering.
     assert warm_counters["hits"] > HOT_CONFIG.requests * 0.9
-    assert warm_counters["exposed"], "cache counters missing from /metrics"
+    assert warm_counters["exposed"], "cache counters missing from /v1/metrics"
     assert speedup >= 2.0, (
         f"warm cache must be >= 2x cold on the hot path, got {speedup:.2f}x "
         f"({cold_rps:.0f} -> {warm_rps:.0f} req/s)"

@@ -168,10 +168,10 @@ def test_bench_funnel_cold_vs_warm_cache(full_corpus):
 
 
 def test_bench_funnel_serial_vs_parallel(full_corpus):
-    """Serial vs thread vs process backends at jobs=4, identical output.
+    """Serial vs process backends at jobs=4, identical output.
 
-    The workload is CPU-bound python, so the thread backend historically
-    *lost* to serial (the 0.75x entry in the trajectory); the process
+    The workload is CPU-bound python, so a thread pool *lost* to serial
+    (the 0.75x entry in the trajectory) and was removed; the process
     backend is the one that must actually scale.  The recorded entry
     carries ``cores`` so the >= 2x gate only arms where 4 workers have
     4 cores to run on — CI enforces it on its 4-vCPU runners, while a
@@ -182,7 +182,6 @@ def test_bench_funnel_serial_vs_parallel(full_corpus):
     )
     runs = {
         "serial": {"jobs": 1, "executor": "serial"},
-        "thread": {"jobs": 4, "executor": "thread"},
         "process": {"jobs": 4, "executor": "process"},
     }
     timings = {}
@@ -191,28 +190,24 @@ def test_bench_funnel_serial_vs_parallel(full_corpus):
         started = time.perf_counter()
         reports[name] = full_corpus.run_funnel(**kwargs)  # fresh cache each
         timings[name] = time.perf_counter() - started
-    for name in ("thread", "process"):
-        assert [p.name for p in reports["serial"].studied] == [
-            p.name for p in reports[name].studied
-        ]
-        assert reports["serial"].stage_rows() == reports[name].stage_rows()
+    assert [p.name for p in reports["serial"].studied] == [
+        p.name for p in reports["process"].studied
+    ]
+    assert reports["serial"].stage_rows() == reports["process"].stage_rows()
 
     def _speedup(name):
         return timings["serial"] / timings[name] if timings[name] > 0 else float("inf")
 
     _TRAJECTORY["funnel_jobs"] = {
         "serial_seconds": round(timings["serial"], 4),
-        "thread_seconds": round(timings["thread"], 4),
         "parallel_seconds": round(timings["process"], 4),
         "jobs": 4,
         "executor": "process",
         "cores": cores,
-        "thread_speedup": round(_speedup("thread"), 2),
         "speedup": round(_speedup("process"), 2),
     }
     print(
         f"\nfunnel serial {timings['serial']:.2f}s, "
-        f"thread jobs=4 {timings['thread']:.2f}s ({_speedup('thread'):.2f}x), "
         f"process jobs=4 {timings['process']:.2f}s ({_speedup('process'):.2f}x) "
         f"on {cores} cores (identical output)"
     )

@@ -9,13 +9,12 @@ to ``BENCH_serve.json`` at the repository root:
   must be 0).
 - **Serve throughput.**  Requests/second against a live
   ``ThreadingHTTPServer`` over the warm store, for a paginated
-  ``/projects`` page, a single-project ``/heartbeat``, and ``304``
+  ``/v1/projects`` page, a single-project ``/heartbeat``, and ``304``
   revalidation hits.
 - **Large-corpus query latency.**  A streamed 100k-project ingest
   (``REPRO_BENCH_LARGE_COUNT`` overrides the row count) followed by
   per-family query timings: the indexed cursor seek and filter families
-  must stay flat while the legacy deep-offset page pays its linear
-  cost.
+  must stay flat.
 """
 
 from __future__ import annotations
@@ -142,16 +141,16 @@ def test_bench_serve_throughput(warm_store):
     try:
         results = {}
         results["projects_page"] = _hammer(
-            f"{server.url}/projects?limit=50", requests_total=300, workers=4
+            f"{server.url}/v1/projects?limit=50", requests_total=300, workers=4
         )
         results["heartbeat"] = _hammer(
-            f"{server.url}/projects/1/heartbeat", requests_total=300, workers=4
+            f"{server.url}/v1/projects/1/heartbeat", requests_total=300, workers=4
         )
         # Revalidation: ask once for the ETag, then hammer with it.
-        with urllib.request.urlopen(f"{server.url}/projects?limit=50") as resp:
+        with urllib.request.urlopen(f"{server.url}/v1/projects?limit=50") as resp:
             etag = resp.headers["ETag"]
         results["revalidation_304"] = _hammer(
-            f"{server.url}/projects?limit=50",
+            f"{server.url}/v1/projects?limit=50",
             requests_total=400,
             workers=4,
             headers={"If-None-Match": etag},
@@ -205,9 +204,6 @@ def test_bench_large_corpus_query_latency(tmp_path_factory):
         service = CorpusService(store)
         queries = {
             "cursor_page": lambda: store.query_projects(cursor=mid, limit=50),
-            "offset_deep": lambda: store.query_projects(
-                offset=max(0, LARGE_COUNT - 100), limit=50
-            ),
             "taxon_page": lambda: store.query_projects(taxon=taxon, limit=50),
             "metric_min": lambda: store.query_projects(
                 ranges=(MetricRange("active_commits", minimum=5),), limit=50

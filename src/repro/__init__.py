@@ -47,7 +47,7 @@ Quickstart
 >>> analysis = analyze_corpus(report.studied + report.rigid)
 """
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 #: The curated public API: exported name -> providing module.
 _EXPORTS = {

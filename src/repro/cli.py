@@ -20,12 +20,12 @@ Commands
                 re-measures zero projects); ``--shards K`` partitions
                 the store across K sqlite files by project-name hash;
 ``serve``       serve an ingested store as a read-only JSON HTTP API
-                (versioned under /v1: projects, heartbeat, taxa, stats,
-                failures, metrics) with ETag revalidation, gzip,
-                request timeouts and circuit-breaker degradation; the
-                legacy unversioned routes answer with a Deprecation
-                header; ``--response-cache N`` sizes the hot-path
-                rendered-response cache (0 disables); ``--workers N``
+                (every route under /v1: projects, heartbeat, taxa,
+                stats, failures, metrics; keyset cursor pagination)
+                with ETag revalidation, gzip, request timeouts and
+                circuit-breaker degradation; ``--response-cache N``
+                sizes the hot-path rendered-response cache (0
+                disables); ``--workers N``
                 pre-forks N shared-nothing SO_REUSEPORT worker
                 processes with supervised respawn and aggregated
                 cluster metrics;
@@ -45,7 +45,7 @@ Commands
 
 Every corpus-running command (and ``classify``) shares one option set,
 declared once on :class:`RunOptions`: the pipeline knobs ``--jobs N``,
-``--executor {auto,serial,thread,process}`` (how those jobs run:
+``--executor {auto,serial,process}`` (how those jobs run:
 worker processes by default when ``jobs > 1``), ``--cache-dir DIR``
 and ``--stats``, the observability knobs
 ``--trace FILE`` (write the run's span trace as JSONL) and
@@ -80,6 +80,7 @@ from repro.obs import (
     trace,
     uninstall_recorder,
 )
+from repro.pipeline.backends import EXECUTORS
 from repro.reporting import ExperimentSuite, funnel_text
 from repro.synthesis import CorpusSpec, build_corpus
 from repro.viz import heartbeat_chart, heartbeat_series, line_chart, schema_size_series
@@ -172,7 +173,7 @@ class RunOptions:
         )
         parser.add_argument(
             "--executor", default="auto",
-            choices=["auto", "serial", "thread", "process"],
+            choices=EXECUTORS,
             help="execution backend for --jobs: worker processes sidestep the"
                  " GIL (auto = process when jobs > 1); results are identical"
                  " for every backend",

@@ -160,7 +160,7 @@ def run_funnel(
     """Run the whole collection funnel and return its report.
 
     ``jobs`` sets the pipeline's worker count and ``executor`` picks the
-    execution backend (serial, thread, or process; ``auto`` uses worker
+    execution backend (serial or process; ``auto`` uses worker
     processes whenever ``jobs > 1``) — results are input-ordered, so
     every combination yields identical reports.  ``cache_dir`` enables
     the on-disk parse/diff cache; ``cache`` shares an in-memory cache

@@ -15,7 +15,7 @@ zero-logging status quo:
   ``cProfile`` and writes ``.pstats`` (the CLI's ``--profile``).
 
 The CLI exposes the tracer as ``--trace FILE`` on every corpus-running
-command; the serving layer exposes the registry on ``/metrics`` (JSON
+command; the serving layer exposes the registry on ``/v1/metrics`` (JSON
 by default, ``text/plain; version=0.0.4`` under content negotiation).
 """
 

@@ -9,7 +9,7 @@ all publish into now: a named metric plus a label set maps to exactly
 one instrument, ``snapshot()`` renders every instrument into one
 JSON-friendly dict, and ``prometheus_text()`` renders the same data in
 the Prometheus text exposition format (``text/plain; version=0.0.4``)
-so the ``/metrics`` endpoint can be scraped by stock tooling.
+so the ``/v1/metrics`` endpoint can be scraped by stock tooling.
 
 Instruments follow the Prometheus data model:
 

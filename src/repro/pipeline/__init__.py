@@ -15,8 +15,8 @@ explicit, composable subsystem:
 - :mod:`repro.pipeline.stats` — per-stage wall time and cache hit/miss
   counters (:class:`PipelineStats`);
 - :mod:`repro.pipeline.backends` — the pluggable
-  :class:`ExecutionBackend` strategies (serial, thread pool, worker
-  processes) one ``pipeline.run`` batch is scheduled by;
+  :class:`ExecutionBackend` strategies (serial, worker processes) one
+  ``pipeline.run`` batch is scheduled by;
 - :mod:`repro.pipeline.pipeline` — :class:`MeasurementPipeline`, which
   executes projects concurrently (``jobs=N``) with deterministic,
   input-ordered result assembly and per-project fault isolation.
@@ -31,7 +31,6 @@ from repro.pipeline.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
     resolve_executor,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SeededExtractStage",
     "SerialBackend",
     "Stage",
-    "ThreadBackend",
     "resolve_backend",
     "resolve_executor",
 ]

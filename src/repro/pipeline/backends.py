@@ -1,16 +1,13 @@
 """Pluggable execution backends: how one ``pipeline.run`` is scheduled.
 
-Historically ``MeasurementPipeline.run`` hard-coded a thread pool, and
-the GIL made ``--jobs 4`` *slower* than serial on this CPU-bound
-workload (the recorded 0.75x "speedup").  Execution is now a strategy
-object chosen by ``PipelineConfig.executor``:
+Execution is a strategy object chosen by ``PipelineConfig.executor``
+(``auto``, ``serial`` or ``process``).  A thread pool is not among
+them: the GIL made ``--jobs 4`` on threads *slower* than serial on this
+CPU-bound workload (0.75x), so it was removed.
 
 - :class:`SerialBackend` — one task after another in the calling
-  thread; the reference implementation every other backend must match
+  thread; the reference implementation the process backend must match
   byte-for-byte.
-- :class:`ThreadBackend` — the legacy shared-memory thread pool; still
-  useful when the cache dominates (warm re-runs) or a provider blocks
-  on IO.
 - :class:`ProcessBackend` — worker *processes* that sidestep the GIL;
   the default for ``jobs > 1`` under ``executor="auto"``.
 
@@ -50,7 +47,7 @@ The process backend's contract with the rest of the system:
 
 Custom stage chains (``MeasurementPipeline(stages=...)``) hold live
 caches and closures that cannot cross a process boundary; asking for
-the process backend there falls back to threads with a warning.
+the process backend there falls back to serial with a warning.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ import hashlib
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -85,14 +82,13 @@ if TYPE_CHECKING:  # circular at runtime: pipeline.py imports this module
     from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
 
 #: The accepted ``--executor`` / ``PipelineConfig.executor`` values.
-EXECUTORS = ("auto", "serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "process")
 
 
 def resolve_executor(executor: str, jobs: int) -> str:
     """Map an executor request to a concrete backend name.
 
-    ``auto`` chooses ``process`` when ``jobs > 1`` (the workload is
-    CPU-bound python, so threads lose to the GIL) and ``serial``
+    ``auto`` chooses ``process`` when ``jobs > 1`` and ``serial``
     otherwise.
     """
     if executor not in EXECUTORS:
@@ -268,30 +264,6 @@ class SerialBackend:
     ) -> list[ProjectContext]:
         _note_partition(pipeline, tasks, [(0, len(tasks))] if tasks else [], self.name)
         return [pipeline.run_project(task) for task in tasks]
-
-
-class ThreadBackend:
-    """The legacy shared-memory thread pool.
-
-    Kept for cache-bound workloads (a warm re-run spends its time in
-    lock-protected dict lookups, where threads are cheap and fork is
-    not) and as the fallback for custom stage chains that cannot cross
-    a process boundary.
-    """
-
-    name = "thread"
-
-    def execute(
-        self, pipeline: "MeasurementPipeline", tasks: Sequence[ProjectTask]
-    ) -> list[ProjectContext]:
-        jobs = max(1, pipeline.config.jobs)
-        _note_partition(
-            pipeline, tasks, [(i, i + 1) for i in range(len(tasks))], self.name
-        )
-        if jobs == 1 or len(tasks) <= 1:
-            return [pipeline.run_project(task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(pipeline.run_project, tasks))
 
 
 class ProcessBackend:
@@ -501,20 +473,16 @@ def resolve_backend(
     """The backend instance for one run.
 
     Custom stage chains hold closures and shared caches the process
-    boundary cannot serialize; the process backend degrades to threads
+    boundary cannot serialize; the process backend degrades to serial
     there (with a warning) rather than failing mid-corpus.
     """
     name = resolve_executor(executor, jobs)
     if name == "process" and custom_stages:
         warnings.warn(
             "custom stage chains cannot cross the process boundary; "
-            "falling back to the thread backend",
+            "falling back to the serial backend",
             RuntimeWarning,
             stacklevel=3,
         )
-        name = "thread"
-    if name == "serial":
-        return SerialBackend()
-    if name == "thread":
-        return ThreadBackend()
-    return ProcessBackend()
+        name = "serial"
+    return SerialBackend() if name == "serial" else ProcessBackend()

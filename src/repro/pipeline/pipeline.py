@@ -3,12 +3,12 @@
 ``MeasurementPipeline.run`` pushes every :class:`ProjectTask` through
 the stage chain.  *How* the batch is scheduled is delegated to a
 pluggable :class:`~repro.pipeline.backends.ExecutionBackend` chosen by
-``PipelineConfig.executor`` — serial, the legacy thread pool, or worker
-processes (the default for ``jobs > 1``, since the workload is
-CPU-bound python and threads lose to the GIL).  Whatever the backend,
-results are assembled strictly in input order, so every executor yields
-byte-identical reports.  A stage that raises demotes its project to a
-:class:`ProjectFailure`; the rest of the corpus is unaffected.
+``PipelineConfig.executor`` — serial, or worker processes (the default
+for ``jobs > 1``, since the workload is CPU-bound python and threads
+lose to the GIL).  Whatever the backend, results are assembled strictly
+in input order, so every executor yields byte-identical reports.  A
+stage that raises demotes its project to a :class:`ProjectFailure`; the
+rest of the corpus is unaffected.
 
 Resilience (opt-in via :class:`PipelineConfig`): a ``retry`` policy
 re-runs a failed project from a *fresh* context with deterministic
@@ -64,7 +64,7 @@ class PipelineConfig:
     retry: RetryPolicy = field(default=NO_RETRY)
     project_deadline: float | None = None  # wall-second budget per project
     injector: FaultInjector | None = None  # seeded chaos, off by default
-    executor: str = "auto"  # serial | thread | process; auto picks by jobs
+    executor: str = "auto"  # serial | process; auto picks by jobs
 
 
 class MeasurementPipeline:

@@ -22,7 +22,7 @@ router, nothing to contend on:
 - **Aggregated observability.**  Every worker periodically relays its
   registry (``MetricsRegistry.dump_state()`` with a ``worker="<i>"``
   label stamped on every series) into an atomic JSON file under the
-  cluster's runtime directory.  Whichever worker answers ``/metrics``
+  cluster's runtime directory.  Whichever worker answers ``/v1/metrics``
   merges the peers' relays with its own live registry
   (``merge_state(..., include_gauges=True)`` — the worker labels keep
   gauges collision-free) plus the supervisor's state file, so the
@@ -116,7 +116,7 @@ def _labeled_state(registry: MetricsRegistry, worker: int) -> list[dict]:
 
 
 class ClusterMetricsView:
-    """The /metrics aggregation a worker serves for the whole cluster.
+    """The /v1/metrics aggregation a worker serves for the whole cluster.
 
     Merges the worker's *live* registry with every peer's last relayed
     state file and the supervisor's state into a fresh registry per

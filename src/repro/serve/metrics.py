@@ -8,7 +8,7 @@ the traffic.  Every request publishes into one
     repro_http_request_seconds{endpoint=...}             histogram
     repro_http_response_bytes_total{endpoint=...}        counter
 
-``/metrics`` serves the registry as JSON by default (the classic
+``/v1/metrics`` serves the registry as JSON by default (the classic
 per-endpoint table plus the raw ``registry`` snapshot) and as
 Prometheus text exposition under content negotiation
 (``Accept: text/plain`` — see :mod:`repro.serve.server`).
@@ -48,7 +48,7 @@ class ServiceMetrics:
         return self.registry.prometheus_text()
 
     def payload(self) -> dict:
-        """The JSON ``/metrics`` body: per-endpoint table + raw snapshot.
+        """The JSON ``/v1/metrics`` body: per-endpoint table + raw snapshot.
 
         Accumulates across *every* series sharing an endpoint, so extra
         labels — a cluster worker's ``worker="<i>"`` tag — fold into one

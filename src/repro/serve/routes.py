@@ -12,8 +12,8 @@ derives from it:
   it cannot drift from the table;
 - the ``"api"`` block on ``/v1/stats`` (version + route count).
 
-Routes flagged ``legacy`` also answer un-prefixed (deprecated, with the
-``Deprecation``/``Link`` successor headers the service already adds).
+Every pattern includes the ``/v1`` prefix, so a path outside it
+matches no row and answers 404.
 """
 
 from __future__ import annotations
@@ -21,9 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-#: The integer API version every /v1 response advertises
+#: The integer API version every response advertises
 #: (``X-Api-Version`` header, /v1/stats ``api`` block, openapi info).
 API_VERSION = 1
+
+#: The one API prefix: every route lives under it.
+API_V1_PREFIX = "/v1"
 
 
 def _compile(template: str) -> re.Pattern:
@@ -51,13 +54,17 @@ class Route:
     methods: frozenset[str]
     handler: str  # CorpusService method name
     summary: str
-    legacy: bool = False  # also served un-prefixed, deprecated
     query_params: tuple[str, ...] = ()
     request_body: bool = False  # POST carries a JSON body
     pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pattern", _compile(self.template))
+        object.__setattr__(self, "pattern", _compile(self.path))
+
+    @property
+    def path(self) -> str:
+        """The full path template; also the route's metrics label."""
+        return f"{API_V1_PREFIX}{self.template}"
 
     @property
     def allow(self) -> str:
@@ -71,7 +78,7 @@ class Route:
 
 
 _PROJECT_FILTERS = (
-    "taxon", "outcome", "dialect", "limit", "offset", "cursor",
+    "taxon", "outcome", "dialect", "limit", "cursor",
     "min_<metric>", "max_<metric>",
 )
 
@@ -82,8 +89,7 @@ ROUTES: tuple[Route, ...] = (
         template="/projects",
         methods=frozenset({"GET"}),
         handler="_projects",
-        summary="Filtered, paginated projects (keyset cursor or offset).",
-        legacy=True,
+        summary="Filtered, paginated projects (keyset cursor).",
         query_params=_PROJECT_FILTERS,
     ),
     Route(
@@ -91,14 +97,12 @@ ROUTES: tuple[Route, ...] = (
         methods=frozenset({"GET"}),
         handler="_project",
         summary="One project's record and schema-version ledger.",
-        legacy=True,
     ),
     Route(
         template="/projects/{id}/heartbeat",
         methods=frozenset({"GET"}),
         handler="_heartbeat",
         summary="The per-commit heartbeat of one project.",
-        legacy=True,
     ),
     Route(
         template="/projects/{id}/advise",
@@ -114,22 +118,20 @@ ROUTES: tuple[Route, ...] = (
         template="/failures",
         methods=frozenset({"GET"}),
         handler="_failures",
-        summary="The stored failure ledger (keyset cursor or offset).",
-        query_params=("limit", "offset", "cursor"),
+        summary="The stored failure ledger (keyset cursor).",
+        query_params=("limit", "cursor"),
     ),
     Route(
         template="/taxa",
         methods=frozenset({"GET"}),
         handler="_taxa",
         summary="Population and share-of-studied per taxon.",
-        legacy=True,
     ),
     Route(
         template="/stats",
         methods=frozenset({"GET"}),
         handler="_stats",
         summary="Corpus-level aggregates, content hash and API metadata.",
-        legacy=True,
     ),
     Route(
         template="/openapi.json",
@@ -229,7 +231,7 @@ def openapi_document(app_version: str) -> dict:
                     },
                 }
             operations[method.lower()] = operation
-        paths[f"/v1{route.template}"] = operations
+        paths[route.path] = operations
     return {
         "openapi": "3.1.0",
         "info": {

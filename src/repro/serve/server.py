@@ -27,12 +27,12 @@ sit behind heavy traffic:
   an open breaker is always an honest 503 (the client retries with its
   ``Idempotency-Key``, so the retry is safe).  A half-open probe closes
   the breaker again once the store recovers.
-- **Observability.**  ``/metrics`` (and ``/v1/metrics``) exposes the
-  server's :class:`~repro.obs.metrics.MetricsRegistry` — JSON by
-  default, Prometheus text exposition (``text/plain; version=0.0.4``)
-  when the client's ``Accept`` header asks for it — and every request
-  runs under an ``http.request`` span when a trace recorder is
-  installed.
+- **Observability.**  ``/v1/metrics`` exposes the server's
+  :class:`~repro.obs.metrics.MetricsRegistry` — JSON by default,
+  Prometheus text exposition (``text/plain; version=0.0.4``) when the
+  client's ``Accept`` header asks for it — without touching the store,
+  so it answers through an outage; every request runs under an
+  ``http.request`` span when a trace recorder is installed.
 - **Graceful shutdown.**  ``serve_forever`` installs SIGINT/SIGTERM
   handlers that drain the threaded server instead of killing sockets.
 """
@@ -53,17 +53,16 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
+from repro import __version__
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace
 from repro.resilience.policy import CircuitBreaker, DeadlineExceeded, call_with_timeout
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.routes import API_VERSION
+from repro.serve.routes import API_V1_PREFIX, API_VERSION
 from repro.serve.service import (
-    API_V1_PREFIX,
     DEFAULT_CACHE_CAPACITY,
     CorpusService,
     ServiceResponse,
-    deprecation_headers,
     render_body,
 )
 from repro.store.store import CorpusStore
@@ -84,7 +83,7 @@ DEFAULT_REQUEST_TIMEOUT = 5.0
 #: At most this many (path, query) snapshots are kept for degradation.
 SNAPSHOT_CAPACITY = 1024
 
-_METRICS_PATHS = ("/metrics", "/metrics/")
+_METRICS_PATHS = (f"{API_V1_PREFIX}/metrics", f"{API_V1_PREFIX}/metrics/")
 
 
 def _gzip(body: bytes) -> bytes:
@@ -95,8 +94,9 @@ def _gzip(body: bytes) -> bytes:
 class RoutedResult:
     """What one request resolves to before HTTP materialization.
 
-    ``body`` carries the canonical JSON bytes when the service already
-    rendered (or cached) them; ``None`` falls back to rendering from
+    ``body`` carries the bytes to send when they are already made: the
+    canonical JSON the service rendered (or cached), or the Prometheus
+    text of ``/v1/metrics``; ``None`` falls back to rendering from
     ``response.payload`` at send time.
     """
 
@@ -111,7 +111,7 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
     """Translates HTTP to :class:`CorpusService` calls."""
 
     server: "CorpusServer"
-    server_version = "repro-serve/1.4"
+    server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
     # Headers and body flush as separate segments; without TCP_NODELAY,
     # Nagle + the peer's delayed ACK add ~40ms to every keep-alive
@@ -145,33 +145,15 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         split = urlsplit(self.path)
         params = dict(parse_qsl(split.query))
-        v1 = split.path == API_V1_PREFIX or split.path.startswith(API_V1_PREFIX + "/")
         with trace("http.request", method=method, path=split.path) as span:
             routed = None
             body_value = None
             if method == "POST":
-                routed, body_value = self._read_body(split.path)
+                routed, body_value = self._read_body()
             elif method not in ("GET", "OPTIONS"):
                 self._drain_body()  # keep keep-alive framing before the 405
-            if routed is None and method == "GET":
-                routed = self._route_metrics(split.path)
-                if routed is None and self._is_prometheus_metrics(split.path):
-                    body = self.server.metrics_prometheus().encode("utf-8")
-                    headers = {"Content-Type": PROMETHEUS_CONTENT_TYPE}
-                    if v1:
-                        headers["X-Api-Version"] = str(API_VERSION)
-                    for name, value in self._metrics_extra_headers(split.path):
-                        headers[name] = value
-                    self._send(200, body, headers, head_only)
-                    if span is not None:
-                        span.attrs.update(
-                            endpoint=self._metrics_endpoint(split.path), status=200
-                        )
-                    self.server.metrics.observe(
-                        self._metrics_endpoint(split.path), 200,
-                        time.perf_counter() - started, len(body),
-                    )
-                    return
+            if routed is None and method == "GET" and split.path in _METRICS_PATHS:
+                routed = self.server.metrics_result(self.headers.get("Accept", ""))
             if routed is None:
                 routed = self.server.guarded_handle(
                     split.path, split.query, params,
@@ -180,8 +162,7 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
                     idempotency_key=self.headers.get("Idempotency-Key"),
                 )
             status, body, headers = self._materialize(routed, head_only)
-            if v1:
-                headers["X-Api-Version"] = str(API_VERSION)
+            headers["X-Api-Version"] = str(API_VERSION)
             self._send(status, body, headers, head_only)
             if span is not None:
                 span.attrs.update(endpoint=routed.response.endpoint, status=status)
@@ -194,15 +175,13 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
     # -- request-body parsing ----------------------------------------------
 
     def _protocol_error(
-        self, path: str, status: int, message: str,
+        self, status: int, message: str,
         detail: str | None = None, close: bool = False,
     ) -> RoutedResult:
         if close:
             self.close_connection = True
         return RoutedResult(
-            response=self.server.service.request_error(
-                path, status, message, detail=detail
-            ),
+            response=self.server.service.request_error(status, message, detail=detail),
             etag=None,
         )
 
@@ -232,7 +211,7 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
             remaining -= len(chunk)
         return True
 
-    def _read_body(self, path: str) -> tuple[RoutedResult | None, object | None]:
+    def _read_body(self) -> tuple[RoutedResult | None, object | None]:
         """Read + parse one JSON request body; (error, None) on failure.
 
         An oversized body is drained (bounded) before the 413 so the
@@ -245,16 +224,14 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
             length = int(raw_length) if raw_length is not None else 0
         except ValueError:
             return (
-                self._protocol_error(
-                    path, 400, f"invalid Content-Length: {raw_length!r}"
-                ),
+                self._protocol_error(400, f"invalid Content-Length: {raw_length!r}"),
                 None,
             )
         if length > MAX_BODY_BYTES:
             drained = self._drain_body(length)
             return (
                 self._protocol_error(
-                    path, 413,
+                    413,
                     f"request body exceeds {MAX_BODY_BYTES} bytes",
                     detail=f"Content-Length: {length}",
                     close=not drained,
@@ -266,7 +243,7 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
         if "json" not in content_type.split(";")[0]:
             return (
                 self._protocol_error(
-                    path, 415,
+                    415,
                     f"unsupported Content-Type: {content_type.split(';')[0]!r}",
                     detail="send application/json",
                 ),
@@ -277,45 +254,11 @@ class CorpusRequestHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return (
                 self._protocol_error(
-                    path, 400, "the request body is not valid JSON",
+                    400, "the request body is not valid JSON",
                     detail=str(exc),
                 ),
                 None,
             )
-
-    # -- /metrics routing ---------------------------------------------------
-
-    def _is_metrics_path(self, path: str) -> bool:
-        if path.startswith(API_V1_PREFIX):
-            path = path[len(API_V1_PREFIX):]
-        return path in _METRICS_PATHS
-
-    def _is_prometheus_metrics(self, path: str) -> bool:
-        if not self._is_metrics_path(path):
-            return False
-        accept = self.headers.get("Accept", "")
-        return "text/plain" in accept or "openmetrics" in accept
-
-    def _metrics_endpoint(self, path: str) -> str:
-        return f"{API_V1_PREFIX}/metrics" if path.startswith(API_V1_PREFIX) else "/metrics"
-
-    def _metrics_extra_headers(self, path: str) -> tuple[tuple[str, str], ...]:
-        if path.startswith(API_V1_PREFIX):
-            return ()
-        return deprecation_headers(path)
-
-    def _route_metrics(self, path: str) -> RoutedResult | None:
-        """/metrics never touches the store: no guard, no ETag."""
-        if not self._is_metrics_path(path) or self._is_prometheus_metrics(path):
-            return None
-        response = ServiceResponse(
-            status=200,
-            payload=self.server.metrics_payload(),
-            endpoint=self._metrics_endpoint(path),
-            cacheable=False,
-            headers=self._metrics_extra_headers(path),
-        )
-        return RoutedResult(response=response, etag=None)
 
     # -- HTTP materialization ----------------------------------------------
 
@@ -400,7 +343,7 @@ class CorpusServer(ThreadingHTTPServer):
             registry=self.metrics.registry,
         )
         #: A pre-fork worker installs its cluster-wide aggregation here
-        #: (any object with payload()/prometheus_text()); /metrics then
+        #: (any object with payload()/prometheus_text()); /v1/metrics then
         #: shows the whole cluster instead of one worker's counters.
         self.metrics_view = None
         self._reuse_port = reuse_port
@@ -421,13 +364,26 @@ class CorpusServer(ThreadingHTTPServer):
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
 
-    def metrics_payload(self) -> dict:
-        view = self.metrics_view if self.metrics_view is not None else self.metrics
-        return view.payload()
+    def metrics_result(self, accept: str) -> RoutedResult:
+        """``/v1/metrics``: JSON, or Prometheus text when *accept* asks.
 
-    def metrics_prometheus(self) -> str:
+        It reads the registry, never the store — no guard, no ETag — so
+        it answers through a store outage.
+        """
         view = self.metrics_view if self.metrics_view is not None else self.metrics
-        return view.prometheus_text()
+        if "text/plain" in accept or "openmetrics" in accept:
+            body = view.prometheus_text().encode("utf-8")
+            payload, headers = {}, (("Content-Type", PROMETHEUS_CONTENT_TYPE),)
+        else:
+            body, payload, headers = None, view.payload(), ()
+        response = ServiceResponse(
+            status=200,
+            payload=payload,
+            endpoint=_METRICS_PATHS[0],
+            cacheable=False,
+            headers=headers,
+        )
+        return RoutedResult(response=response, etag=None, body=body)
 
     @property
     def url(self) -> str:
@@ -462,7 +418,7 @@ class CorpusServer(ThreadingHTTPServer):
         canonical = "&".join(sorted(query.split("&"))) if query else ""
         key = (path, canonical)
         if not self.breaker.allow():
-            return self._degrade(path, key, "store circuit breaker is open", method)
+            return self._degrade(key, "store circuit breaker is open", method)
 
         def call() -> tuple[ServiceResponse, str | None, bytes]:
             rendered = self.service.handle_rendered(
@@ -486,15 +442,11 @@ class CorpusServer(ThreadingHTTPServer):
             self.metrics.registry.counter("repro_http_timeouts_total").inc()
             self.breaker.record_failure()
             return self._degrade(
-                path, key,
-                f"request exceeded its {self.request_timeout}s deadline",
-                method,
+                key, f"request exceeded its {self.request_timeout}s deadline", method
             )
         except Exception as exc:
             self.breaker.record_failure()
-            return self._degrade(
-                path, key, f"store failure: {type(exc).__name__}", method
-            )
+            return self._degrade(key, f"store failure: {type(exc).__name__}", method)
         self.breaker.record_success()
         if etag is not None:
             with self._snapshot_lock:
@@ -505,7 +457,7 @@ class CorpusServer(ThreadingHTTPServer):
         return RoutedResult(response=response, etag=etag, body=body_bytes)
 
     def _degrade(
-        self, path: str, key: tuple[str, str], reason: str, method: str = "GET"
+        self, key: tuple[str, str], reason: str, method: str = "GET"
     ) -> RoutedResult:
         """Serve the last known snapshot, else an honest 503 — never hang.
 
@@ -538,7 +490,7 @@ class CorpusServer(ThreadingHTTPServer):
             "repro_http_degraded_total", mode="unavailable"
         ).inc()
         return RoutedResult(
-            response=self.service.unavailable(path, reason),
+            response=self.service.unavailable(reason),
             etag=None,
             extra_headers=(("Retry-After", retry_after),),
             degraded=True,

@@ -5,21 +5,20 @@ status code — no sockets, no headers beyond route-owned ones — so every
 route is unit-testable without a running server, and the HTTP layer
 stays a thin translation.
 
-The surface is versioned.  ``/v1/...`` is the current API: structured
-error envelopes ``{"error": {"code", "message", "detail"}}``, unified
-``limit``/``offset`` pagination whose list payloads carry ``next`` and
+Every route lives under ``/v1``: structured error envelopes
+``{"error": {"code", "message", "detail"}}``, keyset ``cursor``
+pagination whose list payloads carry ``next``, ``next_cursor`` and
 ``total``, and the ``/v1/failures`` ledger of stored
 :class:`~repro.pipeline.stages.ProjectFailure` records (with retry
-attempt counts).  The legacy unversioned routes keep answering with
-their original shapes but carry a ``Deprecation`` header plus a
-``Link: <successor>; rel="successor-version"`` pointer.
+attempt counts).  Any other path answers 404; an ``offset=`` parameter
+answers 400 and names ``cursor`` as the way to page.
 
-Hot ``/v1`` responses are served from an LRU :class:`ResponseCache`
-keyed on ``(path, canonical query)`` and validated against the store's
+Hot GET responses are served from an LRU :class:`ResponseCache` keyed
+on ``(path, canonical query)`` and validated against the store's
 ``content_hash()``: a hit skips the store query *and* the JSON render
 entirely, and an ingest that changes the store invalidates every entry
-at once (the hash no longer matches).  Legacy routes, errors, and
-``/metrics`` bypass the cache.  Hit/miss/eviction counters and the
+at once (the hash no longer matches).  Errors, writes and
+``/v1/metrics`` bypass the cache.  Hit/miss/eviction counters and the
 render counter publish into the server's metrics registry.
 """
 
@@ -29,7 +28,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from urllib.parse import unquote, urlencode
 
 from repro.advisor import AdvisorError, advise
@@ -40,7 +39,13 @@ from repro.serve.cursors import (
     encode_failure_cursor,
     encode_project_cursor,
 )
-from repro.serve.routes import API_VERSION, ROUTES, Route, openapi_document
+from repro.serve.routes import (
+    API_V1_PREFIX,
+    API_VERSION,
+    ROUTES,
+    Route,
+    openapi_document,
+)
 from repro.store.store import (
     METRIC_COLUMNS,
     AdviceConflict,
@@ -56,26 +61,20 @@ DEFAULT_PAGE_LIMIT = 50
 #: Default entry count of the hot-path response cache (0 disables it).
 DEFAULT_CACHE_CAPACITY = 256
 
-#: Integers beyond this are rejected as overflow rather than silently
-#: accepted (2**53: the largest range JSON consumers agree on).
-MAX_INT_PARAM = 2**53
-
-#: The current API version prefix.
-API_V1_PREFIX = "/v1"
-
 
 @dataclass(frozen=True)
 class ServiceResponse:
     """One routed result: HTTP status, JSON payload, cacheability.
 
-    ``headers`` are route-owned extras (deprecation notices, retry
-    hints) the HTTP layer emits verbatim on top of its own.
+    ``headers`` are route-owned extras (``Allow``, idempotency
+    markers, a non-JSON ``Content-Type``) the HTTP layer emits verbatim
+    on top of its own.
     """
 
     status: int
     payload: dict
     endpoint: str  # the route pattern, for metrics
-    cacheable: bool = True  # False: never ETag-revalidated (/metrics)
+    cacheable: bool = True  # False: never ETag-revalidated (/v1/metrics)
     headers: tuple[tuple[str, str], ...] = ()
 
 
@@ -107,7 +106,6 @@ class RouteRequest:
 
     route: Route
     method: str
-    v1: bool
     params: dict[str, str]
     ref: int | str | None = None
     body: object | None = None
@@ -193,26 +191,6 @@ def render_body(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def _int_param(
-    params: dict[str, str],
-    key: str,
-    default: int,
-    minimum: int = 0,
-    maximum: int = MAX_INT_PARAM,
-) -> int:
-    """Parse one integer query parameter, 400ing negatives and overflow."""
-    raw = params.get(key)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise StoreError(f"{key} must be an integer, got {raw!r}")
-    if not minimum <= value <= maximum:
-        raise StoreError(f"{key} must be in {minimum}..{maximum}, got {value}")
-    return value
-
-
 def _resolve_ref(raw: str) -> int | str:
     """A path segment is a numeric store id or a URL-encoded name."""
     decoded = unquote(raw)
@@ -229,35 +207,6 @@ def _error_code_for(status: int) -> str:
         415: "unsupported_media_type",
         503: "store_unavailable",
     }.get(status, "error")
-
-
-def deprecation_headers(path: str) -> tuple[tuple[str, str], ...]:
-    """The headers every legacy (unversioned) response carries."""
-    return (
-        ("Deprecation", "true"),
-        ("Link", f'<{API_V1_PREFIX}{path}>; rel="successor-version"'),
-    )
-
-
-def offset_deprecation_headers(
-    base: str, params: dict[str, str]
-) -> tuple[tuple[str, str], ...]:
-    """The headers an explicitly offset-paginated /v1 response carries.
-
-    Offset pagination still works — but it is O(offset) per page, so
-    responses the client *asked* to paginate by offset advertise the
-    cursor walk as their successor: the same route and filters, minus
-    the offset (the first cursor page), in the established
-    ``Deprecation: true`` + ``rel="successor-version"`` pattern.
-    """
-    query = {
-        key: value for key, value in params.items() if key not in ("offset", "cursor")
-    }
-    successor = f"{base}?{urlencode(sorted(query.items()))}" if query else base
-    return (
-        ("Deprecation", "true"),
-        ("Link", f'<{successor}>; rel="successor-version"'),
-    )
 
 
 class CorpusService:
@@ -300,17 +249,15 @@ class CorpusService:
 
         ``content_hash()`` is read exactly once per request; it both
         validates the cache entry and feeds the caller's ETag, so a hit
-        answers without any further store work.  Only current-API
-        (``/v1``) GET 200s are cached — legacy routes bypass (they are
-        deprecated, not worth hot-path memory), writes must always
-        reach the store, and errors are always recomputed.  A store
-        outage raises out of here (the content-hash read fails), which
-        is what trips the caller's circuit breaker.
+        answers without any further store work.  Only GET 200s are
+        cached — writes must always reach the store, and errors are
+        always recomputed.  A store outage raises out of here (the
+        content-hash read fails), which is what trips the caller's
+        circuit breaker.
         """
-        v1 = path == API_V1_PREFIX or path.startswith(API_V1_PREFIX + "/")
         content_hash = self.store.content_hash()
         key = (path, canonical_query)
-        if v1 and method == "GET" and self.cache is not None:
+        if method == "GET" and self.cache is not None:
             cached = self.cache.lookup(key, content_hash)
             if cached is not None:
                 response, body_bytes = cached
@@ -330,8 +277,7 @@ class CorpusService:
             "repro_serve_renders_total", endpoint=response.endpoint
         ).inc()
         if (
-            v1
-            and method == "GET"
+            method == "GET"
             and self.cache is not None
             and response.cacheable
             and response.status == 200
@@ -348,55 +294,41 @@ class CorpusService:
         idempotency_key: str | None = None,
     ) -> ServiceResponse:
         """Dispatch one request; never raises for bad input."""
-        v1 = path == API_V1_PREFIX or path.startswith(API_V1_PREFIX + "/")
-        sub = path[len(API_V1_PREFIX):] if v1 else path
         try:
-            response = self._route(
-                sub or "/", params, v1, method=method, body=body,
+            return self._route(
+                path, params, method=method, body=body,
                 idempotency_key=idempotency_key,
             )
         except AdviceConflict as exc:
-            response = self._error(409, str(exc), self._prefix(sub, v1), v1)
+            return self._error(409, str(exc), path)
         except StoreError as exc:
-            response = self._error(400, str(exc), self._prefix(sub, v1), v1)
-        if not v1:
-            response = replace(
-                response, headers=response.headers + deprecation_headers(path)
-            )
-        return response
+            return self._error(400, str(exc), path)
 
-    def unavailable(self, path: str, reason: str) -> ServiceResponse:
+    def unavailable(self, reason: str) -> ServiceResponse:
         """The 503 shape the HTTP layer serves when the store is down."""
-        v1 = path == API_V1_PREFIX or path.startswith(API_V1_PREFIX + "/")
         return self._error(
             503,
             "the corpus store is unavailable",
-            self._prefix("unavailable", v1),
-            v1,
+            f"{API_V1_PREFIX}/unavailable",
             detail=reason,
         )
 
     def request_error(
-        self, path: str, status: int, message: str, detail: str | None = None
+        self, status: int, message: str, detail: str | None = None
     ) -> ServiceResponse:
         """A protocol-level error (bad body, oversized payload, ...).
 
         The HTTP layer calls this for failures it detects *before*
-        routing — the envelope still follows the path's API version.
+        routing.
         """
-        v1 = path == API_V1_PREFIX or path.startswith(API_V1_PREFIX + "/")
         return self._error(
-            status, message, self._prefix("/request", v1), v1, detail=detail
+            status, message, f"{API_V1_PREFIX}/request", detail=detail
         )
-
-    def _prefix(self, endpoint: str, v1: bool) -> str:
-        return f"{API_V1_PREFIX}{endpoint}" if v1 else endpoint
 
     def _route(
         self,
         path: str,
         params: dict[str, str],
-        v1: bool,
         method: str = "GET",
         body: object | None = None,
         idempotency_key: str | None = None,
@@ -408,12 +340,10 @@ class CorpusService:
         204 + ``Allow`` without touching the handler.
         """
         for route in ROUTES:
-            if not v1 and not route.legacy:
-                continue
             match = route.pattern.match(path)
             if match is None:
                 continue
-            endpoint = self._prefix(route.template, v1)
+            endpoint = route.path
             if method == "OPTIONS":
                 return ServiceResponse(
                     status=204,
@@ -427,7 +357,6 @@ class CorpusService:
                     405,
                     f"method {method} is not allowed on {endpoint}",
                     endpoint,
-                    v1,
                     detail=f"allowed: {route.allow}",
                     headers=(("Allow", route.allow),),
                 )
@@ -435,98 +364,79 @@ class CorpusService:
             request = RouteRequest(
                 route=route,
                 method=method,
-                v1=v1,
                 params=params,
                 ref=_resolve_ref(groups["ref"]) if "ref" in groups else None,
                 body=body,
                 idempotency_key=idempotency_key,
             )
             return getattr(self, route.handler)(request)
-        shown = path if not v1 else API_V1_PREFIX + path
-        return self._error(404, f"no such route: {shown}", "unknown", v1)
+        return self._error(404, f"no such route: {path}", "unknown")
 
     # -- shapes ------------------------------------------------------------
 
     def _error(
-        self, status: int, message: str, endpoint: str, v1: bool,
+        self, status: int, message: str, endpoint: str,
         detail: str | None = None,
         headers: tuple[tuple[str, str], ...] = (),
     ) -> ServiceResponse:
-        """v1 wraps errors in the structured envelope; legacy keeps the
-        original bare ``{"error": message}`` shape."""
-        if v1:
-            payload = {
+        """Every error answers in the structured envelope."""
+        return ServiceResponse(
+            status=status,
+            payload={
                 "error": {
                     "code": _error_code_for(status),
                     "message": message,
                     "detail": detail,
                 }
-            }
-        else:
-            payload = {"error": message}
-        return ServiceResponse(
-            status=status,
-            payload=payload,
+            },
             endpoint=endpoint,
             cacheable=False,
             headers=headers,
         )
 
-    def _page_params(self, params: dict[str, str]) -> tuple[int, int]:
-        offset = _int_param(params, "offset", 0, minimum=0)
-        limit = _int_param(
-            params, "limit", DEFAULT_PAGE_LIMIT, minimum=1, maximum=MAX_PAGE_LIMIT
-        )
-        return offset, limit
-
     @staticmethod
-    def _raw_cursor(params: dict[str, str], v1: bool) -> str | None:
-        """The raw cursor param, validated for mode conflicts."""
-        raw = params.get("cursor")
-        if raw is None:
-            return None
-        if not v1:
-            raise StoreError("cursor pagination requires the /v1 API")
+    def _page_limit(params: dict[str, str]) -> int:
+        """A list route's page size; an ``offset=`` is refused, not ignored
+        (a client walking by offset would otherwise get page 1 forever)."""
         if "offset" in params:
-            raise StoreError("cursor and offset are mutually exclusive")
-        return raw
+            raise StoreError(
+                "offset pagination was removed; page with cursor= by"
+                " following next"
+            )
+        raw = params.get("limit")
+        if raw is None:
+            return DEFAULT_PAGE_LIMIT
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise StoreError(f"limit must be an integer, got {raw!r}")
+        if not 1 <= limit <= MAX_PAGE_LIMIT:
+            raise StoreError(f"limit must be in 1..{MAX_PAGE_LIMIT}, got {limit}")
+        return limit
 
     @staticmethod
     def _cursor_link(
         base: str, params: dict[str, str], next_cursor: str | None, limit: int
     ) -> str | None:
-        """The relative URL continuing a cursor walk (None when done)."""
-        if next_cursor is None:
-            return None
-        query = dict(params)
-        query.pop("offset", None)
-        query["cursor"] = next_cursor
-        query["limit"] = str(limit)
-        return f"{base}?{urlencode(sorted(query.items()))}"
-
-    @staticmethod
-    def _next_link(
-        base: str, params: dict[str, str], offset: int, limit: int, total: int
-    ) -> str | None:
-        """The relative URL of the next page, or None on the last one.
+        """The relative URL continuing a cursor walk (None when done).
 
         Filter parameters survive the hop; the query is canonicalized
         (sorted) so the link — and with it the page's ETag — is
         deterministic.
         """
-        if offset + limit >= total:
+        if next_cursor is None:
             return None
         query = dict(params)
-        query["offset"] = str(offset + limit)
+        query["cursor"] = next_cursor
         query["limit"] = str(limit)
         return f"{base}?{urlencode(sorted(query.items()))}"
 
     # -- routes ------------------------------------------------------------
 
     def _projects(self, req: RouteRequest) -> ServiceResponse:
-        params, v1 = req.params, req.v1
-        offset, limit = self._page_params(params)
-        raw_cursor = self._raw_cursor(params, v1)
+        params = req.params
+        limit = self._page_limit(params)
+        raw_cursor = params.get("cursor")
         cursor = (
             decode_project_cursor(raw_cursor) if raw_cursor is not None else None
         )
@@ -552,101 +462,73 @@ class CorpusService:
             outcome=params.get("outcome"),
             dialect=params.get("dialect"),
             ranges=ranges,
-            offset=offset,
             limit=limit,
             cursor=cursor,
         )
-        payload = {
-            "total": page.total,
-            "offset": page.offset,
-            "limit": page.limit,
-            "projects": [project.payload() for project in page.projects],
-        }
-        base = f"{API_V1_PREFIX}/projects"
-        headers: tuple[tuple[str, str], ...] = ()
-        if v1:
-            next_cursor = (
-                encode_project_cursor(page.next_cursor)
-                if page.next_cursor is not None
-                else None
-            )
-            payload["next_cursor"] = next_cursor
-            if cursor is not None:
-                payload["next"] = self._cursor_link(base, params, next_cursor, limit)
-            else:
-                payload["next"] = self._next_link(
-                    base, params, offset, limit, page.total
-                )
-                if "offset" in params:
-                    headers = offset_deprecation_headers(base, params)
+        base = req.route.path
+        next_cursor = (
+            encode_project_cursor(page.next_cursor)
+            if page.next_cursor is not None
+            else None
+        )
+        # "offset" stays a constant 0 so cursor bodies keep their bytes.
         return ServiceResponse(
             status=200,
-            payload=payload,
-            endpoint=self._prefix("/projects", v1),
-            headers=headers,
+            payload={
+                "total": page.total,
+                "offset": 0,
+                "limit": page.limit,
+                "projects": [project.payload() for project in page.projects],
+                "next_cursor": next_cursor,
+                "next": self._cursor_link(base, params, next_cursor, limit),
+            },
+            endpoint=base,
         )
 
     def _failures(self, req: RouteRequest) -> ServiceResponse:
         params = req.params
-        offset, limit = self._page_params(params)
-        raw_cursor = self._raw_cursor(params, v1=True)
+        limit = self._page_limit(params)
+        raw_cursor = params.get("cursor")
         total = self.store.failure_count()
-        base = f"{API_V1_PREFIX}/failures"
-        headers: tuple[tuple[str, str], ...] = ()
-        if raw_cursor is not None:
-            page = self.store.query_failures(
-                cursor=decode_failure_cursor(raw_cursor), limit=limit
-            )
-            rows = list(page.failures)
-            next_cursor = (
-                encode_failure_cursor(page.next_cursor)
-                if page.next_cursor is not None
-                else None
-            )
-            next_link = self._cursor_link(base, params, next_cursor, limit)
-            offset = 0
-        else:
-            rows = self.store.failures(offset=offset, limit=limit)
-            # Derive the keyset continuation from the page itself, so an
-            # offset page can always hand the client over to cursor mode.
-            next_cursor = (
-                encode_failure_cursor(rows[-1].project)
-                if rows and offset + limit < total
-                else None
-            )
-            next_link = self._next_link(base, params, offset, limit, total)
-            if "offset" in params:
-                headers = offset_deprecation_headers(base, params)
+        page = self.store.query_failures(
+            cursor=(
+                decode_failure_cursor(raw_cursor) if raw_cursor is not None else None
+            ),
+            limit=limit,
+        )
+        base = req.route.path
+        next_cursor = (
+            encode_failure_cursor(page.next_cursor)
+            if page.next_cursor is not None
+            else None
+        )
         return ServiceResponse(
             status=200,
             payload={
                 "total": total,
-                "offset": offset,
+                "offset": 0,
                 "limit": limit,
-                "next": next_link,
+                "next": self._cursor_link(base, params, next_cursor, limit),
                 "next_cursor": next_cursor,
-                "failures": [failure.payload() for failure in rows],
+                "failures": [failure.payload() for failure in page.failures],
             },
             endpoint=base,
-            headers=headers,
         )
 
     def _project(self, req: RouteRequest) -> ServiceResponse:
-        ref, v1 = req.ref, req.v1
+        ref, endpoint = req.ref, req.route.path
         stored = self.store.get_project(ref)
-        endpoint = self._prefix("/projects/{id}", v1)
         if stored is None:
-            return self._error(404, f"unknown project: {ref}", endpoint, v1)
+            return self._error(404, f"unknown project: {ref}", endpoint)
         payload = stored.payload()
         payload["versions"] = self.store.version_rows(ref)
         return ServiceResponse(status=200, payload=payload, endpoint=endpoint)
 
     def _heartbeat(self, req: RouteRequest) -> ServiceResponse:
-        ref, v1 = req.ref, req.v1
+        ref, endpoint = req.ref, req.route.path
         stored = self.store.get_project(ref)
-        endpoint = self._prefix("/projects/{id}/heartbeat", v1)
         if stored is None:
-            return self._error(404, f"unknown project: {ref}", endpoint, v1)
+            return self._error(404, f"unknown project: {ref}", endpoint)
         rows = self.store.heartbeat_rows(ref) or []
         return ServiceResponse(
             status=200,
@@ -667,23 +549,19 @@ class CorpusService:
                 "taxa": self.store.taxa_summary(),
                 "by_dialect": self.store.taxa_by_dialect(),
             },
-            endpoint=self._prefix("/taxa", req.v1),
+            endpoint=req.route.path,
         )
 
     def _stats(self, req: RouteRequest) -> ServiceResponse:
-        v1 = req.v1
         payload = self.store.aggregates()
         request_hash = getattr(self._request_hash, "value", None)
         payload["content_hash"] = (
             request_hash if request_hash is not None else self.store.content_hash()
         )
-        if v1 and self.cluster_workers is not None:
+        if self.cluster_workers is not None:
             payload["cluster"] = {"workers": self.cluster_workers}
-        if v1:
-            payload["api"] = {"version": API_VERSION, "routes": len(ROUTES)}
-        return ServiceResponse(
-            status=200, payload=payload, endpoint=self._prefix("/stats", v1)
-        )
+        payload["api"] = {"version": API_VERSION, "routes": len(ROUTES)}
+        return ServiceResponse(status=200, payload=payload, endpoint=req.route.path)
 
     def _openapi(self, req: RouteRequest) -> ServiceResponse:
         from repro import __version__
@@ -691,7 +569,7 @@ class CorpusService:
         return ServiceResponse(
             status=200,
             payload=openapi_document(__version__),
-            endpoint=self._prefix("/openapi.json", req.v1),
+            endpoint=req.route.path,
         )
 
     def _advise(self, req: RouteRequest) -> ServiceResponse:
@@ -706,10 +584,10 @@ class CorpusService:
         (``sha256:<body hash>``), making retries of identical bodies
         idempotent by construction.  GET lists the persisted ledger.
         """
-        endpoint = self._prefix("/projects/{id}/advise", req.v1)
+        endpoint = req.route.path
         stored = self.store.get_project(req.ref)
         if stored is None:
-            return self._error(404, f"unknown project: {req.ref}", endpoint, req.v1)
+            return self._error(404, f"unknown project: {req.ref}", endpoint)
         if req.method == "GET":
             records = self.store.advice_records(stored.name)
             return ServiceResponse(
@@ -728,16 +606,13 @@ class CorpusService:
             )
         body = req.body
         if not isinstance(body, dict):
-            return self._error(
-                400, "the request body must be a JSON object", endpoint, req.v1
-            )
+            return self._error(400, "the request body must be a JSON object", endpoint)
         ddl = body.get("ddl")
         if not isinstance(ddl, str) or not ddl.strip():
             return self._error(
                 400,
                 'the request body must carry a non-empty "ddl" string',
                 endpoint,
-                req.v1,
             )
         history = self.store.project_history(stored.name)
         if history is None or not history.history.versions:
@@ -745,7 +620,6 @@ class CorpusService:
                 400,
                 f"{stored.name} has no stored schema history to advise against",
                 endpoint,
-                req.v1,
             )
         body_sha256 = hashlib.sha256(render_body(body)).hexdigest()
         key = req.idempotency_key or f"sha256:{body_sha256}"
@@ -772,7 +646,7 @@ class CorpusService:
                 heartbeat_rows=self.store.heartbeat_rows(stored.name) or [],
             )
         except AdvisorError as exc:
-            return self._error(400, str(exc), endpoint, req.v1)
+            return self._error(400, str(exc), endpoint)
 
         def build_response(advice_id: int) -> bytes:
             return render_body(

@@ -32,7 +32,6 @@ from repro.store.store import (
     CorpusStore,
     FailurePage,
     MetricRange,
-    ProjectPage,
     QueryPage,
     StoreError,
     StoredProject,
@@ -50,7 +49,6 @@ __all__ = [
     "MISSING_REPO_FINGERPRINT",
     "PERSIST_FAILED_FINGERPRINT",
     "MetricRange",
-    "ProjectPage",
     "QueryPage",
     "STORE_SCHEMA_VERSION",
     "ShardedCorpusStore",

@@ -437,55 +437,45 @@ class ShardedCorpusStore:
         taxon: Taxon | str | None = None,
         outcome: Outcome | str | None = None,
         ranges: Sequence[MetricRange] = (),
-        offset: int = 0,
         limit: int | None = None,
         cursor: int | None = None,
         dialect: str | None = None,
     ) -> QueryPage:
-        """Scatter-gather pagination in global (id) order.
+        """Scatter-gather keyset pagination in global (id) order.
 
-        Each shard returns its own first matches past the cursor (or
-        inside the offset window), already id-ordered; a merge-sort on
-        id then slices the global window — identical rows, order,
-        totals *and* ``next_cursor`` to the single-file store answering
-        the same query.  The global cursor works unchanged per shard
-        because ids are globally unique and monotonic.
+        Each shard returns its own first matches past the cursor,
+        already id-ordered; a merge-sort on id then takes the global
+        page — identical rows, order, totals *and* ``next_cursor`` to
+        the single-file store answering the same query.  The global
+        cursor works unchanged per shard because ids are globally
+        unique and monotonic.
         """
-        if offset < 0:
-            raise StoreError("offset must be >= 0")
         if limit is not None and limit < 1:
             raise StoreError("limit must be >= 1")
-        if cursor is not None:
-            if cursor < 0:
-                raise StoreError("cursor must be >= 0")
-            if offset:
-                raise StoreError("cursor and offset are mutually exclusive")
-        # One row beyond the global window signals "more rows exist";
-        # each shard must over-fetch by that row too.
-        want = None if limit is None else offset + limit + 1
+        if cursor is not None and cursor < 0:
+            raise StoreError("cursor must be >= 0")
+        # One row beyond the page signals "more rows exist"; each shard
+        # must over-fetch by that row too.
+        fetch = None if limit is None else limit + 1
         pages = self._scatter(
             lambda shard: shard.query_projects(
-                taxon=taxon, outcome=outcome, ranges=ranges, offset=0, limit=want,
+                taxon=taxon, outcome=outcome, ranges=ranges, limit=fetch,
                 cursor=cursor, dialect=dialect,
             )
         )
-        total = sum(page.total for page in pages)
         merged = heapq.merge(
             *(page.projects for page in pages), key=lambda stored: stored.id
         )
-        if limit is None:
-            window = tuple(islice(merged, offset, None))
-            more = False
-        else:
-            window = tuple(islice(merged, offset, offset + limit + 1))
-            more = len(window) > limit
+        window = tuple(islice(merged, fetch))
+        more = limit is not None and len(window) > limit
+        if more:
             window = window[:limit]
+        total = sum(page.total for page in pages)
         return QueryPage(
             total=total,
-            offset=offset,
             limit=limit if limit is not None else total,
             projects=window,
-            next_cursor=window[-1].id if more and window else None,
+            next_cursor=window[-1].id if more else None,
         )
 
     def by_taxon(self, taxon: Taxon | str) -> tuple[StoredProject, ...]:
@@ -505,17 +495,8 @@ class ShardedCorpusStore:
         index, shard = located
         return self._read(index, lambda: shard.version_rows(ref))
 
-    def failures(
-        self, offset: int = 0, limit: int | None = None
-    ) -> list[ProjectFailure]:
-        if offset < 0:
-            raise StoreError("offset must be >= 0")
-        if limit is not None and limit < 1:
-            raise StoreError("limit must be >= 1")
-        parts = self._scatter(lambda shard: shard.failures())
-        merged = heapq.merge(*parts, key=lambda failure: failure.project)
-        stop = None if limit is None else offset + limit
-        return list(islice(merged, offset, stop))
+    def failures(self) -> list[ProjectFailure]:
+        return list(self.query_failures().failures)
 
     def failure_count(self) -> int:
         return sum(self._scatter(lambda shard: shard.failure_count()))

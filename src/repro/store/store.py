@@ -319,28 +319,20 @@ class MetricRange:
 
 
 @dataclass(frozen=True)
-class ProjectPage:
-    """One page of a filtered projects query."""
-
-    total: int
-    offset: int
-    limit: int
-    projects: tuple[StoredProject, ...]
-
-
-@dataclass(frozen=True)
-class QueryPage(ProjectPage):
-    """A :class:`ProjectPage` that also carries the keyset cursor.
+class QueryPage:
+    """One keyset page of a filtered projects query.
 
     ``next_cursor`` is the id of the page's last row whenever more rows
     match beyond it, else ``None``.  Passing it back as
     ``query_projects(cursor=...)`` resumes exactly after that row — an
-    indexed ``id > ?`` seek, O(page) however deep the walk, where the
-    equivalent ``offset`` walk is O(offset) per page.  Both store
+    indexed ``id > ?`` seek, O(page) however deep the walk.  Both store
     layouts return it with identical semantics.
     """
 
-    next_cursor: int | None = None
+    total: int
+    limit: int
+    projects: tuple[StoredProject, ...]
+    next_cursor: int | None
 
 
 @dataclass(frozen=True)
@@ -961,20 +953,17 @@ class CorpusStore:
         taxon: Taxon | str | None = None,
         outcome: Outcome | str | None = None,
         ranges: Sequence[MetricRange] = (),
-        offset: int = 0,
         limit: int | None = None,
         cursor: int | None = None,
         dialect: str | None = None,
     ) -> QueryPage:
-        """Filtered, paginated projects in stable (ingest) order.
+        """Filtered, keyset-paginated projects in stable (ingest) order.
 
-        ``cursor`` selects keyset pagination: rows strictly after id
-        *cursor* (an indexed seek), mutually exclusive with a non-zero
-        ``offset``.  Either way the page's ``next_cursor`` points past
-        its last row when more rows match, so any offset page can be
-        continued as a cursor walk.  ``dialect`` filters on the parse
-        dialect (equality over the ``(dialect, id)`` index, so a
-        dialect page is one index descent like taxon/outcome pages).
+        ``cursor`` resumes after id *cursor* (an indexed ``id > ?``
+        seek); the page's ``next_cursor`` points past its last row when
+        more rows match.  ``dialect`` filters on the parse dialect
+        (equality over the ``(dialect, id)`` index, so a dialect page is
+        one index descent like taxon/outcome pages).
         """
         where: list[str] = []
         params: list[object] = []
@@ -996,15 +985,10 @@ class CorpusStore:
                 where.append(f"{bound.metric} <= ?")
                 params.append(bound.maximum)
         clause = (" WHERE " + " AND ".join(where)) if where else ""
-        if offset < 0:
-            raise StoreError("offset must be >= 0")
         if limit is not None and limit < 1:
             raise StoreError("limit must be >= 1")
-        if cursor is not None:
-            if cursor < 0:
-                raise StoreError("cursor must be >= 0")
-            if offset:
-                raise StoreError("cursor and offset are mutually exclusive")
+        if cursor is not None and cursor < 0:
+            raise StoreError("cursor must be >= 0")
         seek_where = list(where)
         seek_params = list(params)
         if cursor is not None:
@@ -1033,18 +1017,17 @@ class CorpusStore:
             ).fetchone()["n"]
             sql = (
                 f"SELECT {', '.join(_PROJECT_COLUMNS)} FROM projects{hint}"
-                f"{seek_clause} ORDER BY id LIMIT ? OFFSET ?"
+                f"{seek_clause} ORDER BY id LIMIT ?"
             )
             # Fetch one row beyond the page: its presence is the
             # "more rows exist" signal behind next_cursor.
             fetch = limit + 1 if limit is not None else -1
-            rows = conn.execute(sql, [*seek_params, fetch, offset]).fetchall()
+            rows = conn.execute(sql, [*seek_params, fetch]).fetchall()
         more = limit is not None and len(rows) > limit
         if more:
             rows = rows[:limit]
         return QueryPage(
             total=total,
-            offset=offset,
             limit=limit if limit is not None else total,
             projects=tuple(StoredProject.from_row(row) for row in rows),
             next_cursor=rows[-1]["id"] if more and rows else None,
@@ -1080,30 +1063,9 @@ class CorpusStore:
             ).fetchall()
         return [dict(row) for row in rows]
 
-    def failures(
-        self, offset: int = 0, limit: int | None = None
-    ) -> list[ProjectFailure]:
-        """Stored failure records in project order (optionally one page)."""
-        if offset < 0:
-            raise StoreError("offset must be >= 0")
-        if limit is not None and limit < 1:
-            raise StoreError("limit must be >= 1")
-        with self._read_tx() as conn:
-            rows = conn.execute(
-                "SELECT project, stage, error, message, attempts FROM failures"
-                " ORDER BY project LIMIT ? OFFSET ?",
-                (limit if limit else -1, offset),
-            ).fetchall()
-        return [
-            ProjectFailure(
-                project=row["project"],
-                stage=row["stage"],
-                error=row["error"],
-                message=row["message"],
-                attempts=row["attempts"],
-            )
-            for row in rows
-        ]
+    def failures(self) -> list[ProjectFailure]:
+        """Every stored failure record, in project order."""
+        return list(self.query_failures().failures)
 
     def failure_count(self) -> int:
         with self._read_tx() as conn:

@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: serial, thread, and process execution.
+"""Cross-backend equivalence: serial and process execution.
 
 The execution backend is pure scheduling — every backend must produce
 byte-identical study artifacts, identical failure records under seeded
@@ -25,7 +25,6 @@ from repro.pipeline import (
     PipelineConfig,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
     resolve_executor,
 )
@@ -35,7 +34,7 @@ from repro.resilience import FaultInjector, RetryPolicy
 from repro.synthesis import CorpusSpec, build_corpus
 from repro.vcs.repository import Repository
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -67,24 +66,25 @@ class TestExecutorResolution:
         assert resolve_executor("auto", 4) == "process"
 
     def test_explicit_names_resolve_to_themselves(self):
-        for name in ("serial", "thread", "process"):
+        for name in BACKENDS:
             assert resolve_executor(name, 1) == name
             assert resolve_executor(name, 8) == name
 
     def test_unknown_executor_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("gpu", 4)
+        # "thread" was removed in 2.0: unknown, not silently serial.
+        for name in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                resolve_executor(name, 4)
 
     def test_resolve_backend_maps_names_to_classes(self):
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
-        assert isinstance(resolve_backend("thread", 4), ThreadBackend)
         assert isinstance(resolve_backend("process", 4), ProcessBackend)
-        assert "auto" in EXECUTORS
+        assert EXECUTORS == ("auto", *BACKENDS)
 
-    def test_custom_stages_demote_process_to_thread_with_warning(self):
+    def test_custom_stages_demote_process_to_serial_with_warning(self):
         with pytest.warns(RuntimeWarning, match="process boundary"):
             backend = resolve_backend("process", 4, custom_stages=True)
-        assert isinstance(backend, ThreadBackend)
+        assert isinstance(backend, SerialBackend)
 
 
 class TestPartitioning:
@@ -136,7 +136,7 @@ class TestCrossBackendEquivalence:
             )
             for executor in BACKENDS
         }
-        assert payloads["serial"] == payloads["thread"] == payloads["process"]
+        assert payloads["serial"] == payloads["process"]
 
     def test_seeded_faults_replay_identically_across_backends(self, small_corpus):
         injector = FaultInjector(seed=7, rate=0.4, sites=("parse",))
@@ -151,7 +151,7 @@ class TestCrossBackendEquivalence:
                 failure.payload()
                 for failure in sorted(report.failures, key=lambda f: f.project)
             ]
-        assert records["serial"] == records["thread"] == records["process"]
+        assert records["serial"] == records["process"]
 
     def test_warm_disk_cache_through_process_backend_runs_zero_parses(
         self, small_corpus, tmp_path
@@ -304,12 +304,11 @@ class TestSeededPipeline:
             outcomes[executor] = [ctx.outcome for ctx in contexts]
         assert (
             outcomes["serial"]
-            == outcomes["thread"]
             == outcomes["process"]
             == [Outcome.STUDIED, Outcome.ZERO_VERSIONS]
         )
 
-    def test_custom_stage_chain_still_executes_via_thread_fallback(self):
+    def test_custom_stage_chain_still_executes_via_serial_fallback(self):
         repo = _repo("custom/project")
         pipeline = MeasurementPipeline(
             {"custom/project": repo}.get,
@@ -323,6 +322,7 @@ class TestSeededPipeline:
         with pytest.warns(RuntimeWarning, match="process boundary"):
             contexts = custom.run(_tasks(["custom/project"]) * 3)
         assert [ctx.outcome for ctx in contexts] == [Outcome.STUDIED] * 3
+        assert custom.stats.partition["backend"] == "serial"
 
 
 @pytest.mark.slow

@@ -88,6 +88,12 @@ class TestArgParsing:
         with pytest.raises(SystemExit):
             main(["transmogrify"])
 
+    def test_removed_thread_executor_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["funnel", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
 
 class TestCliContract:
     @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -172,7 +172,7 @@ class TestCluster:
 
     def test_prometheus_exposition_carries_worker_labels(self, cluster):
         status, headers, body = get(
-            cluster.url, "/metrics", headers={"Accept": "text/plain"}
+            cluster.url, "/v1/metrics", headers={"Accept": "text/plain"}
         )
         assert status == 200 and "text/plain" in headers["Content-Type"]
         text = body.decode()

@@ -2,12 +2,11 @@
 
 Three layers, each tested on both store layouts (single-file and
 sharded): keyset ``query_projects``/``query_failures`` walks produce
-exactly the offset walk's sequence; ``EXPLAIN QUERY PLAN`` proves every
-/v1 filter family — taxon, outcome, metric range, cursor seek —
-resolves through an index with no full scan of ``projects``; and the
-``/v1`` surface speaks opaque tokens (cross-endpoint tokens 400, cursor
-and offset are mutually exclusive, explicit offset pagination carries
-``Deprecation``/``Link`` successor headers).
+exactly the unpaged sequence; ``EXPLAIN QUERY PLAN`` proves every /v1
+filter family — taxon, outcome, metric range, cursor seek — resolves
+through an index with no full scan of ``projects``; and the ``/v1``
+surface speaks opaque tokens (cross-endpoint tokens 400, and an
+``offset=`` answers 400 naming ``cursor`` instead of being ignored).
 """
 
 from __future__ import annotations
@@ -91,15 +90,6 @@ class TestKeysetEqualsOffset:
             ]
             assert walk_cursor(store, 3, **filters) == expected, filters
 
-    def test_cursor_resumes_any_offset_page(self, store):
-        page = store.query_projects(offset=0, limit=5)
-        assert page.next_cursor == page.projects[-1].id
-        resumed = store.query_projects(cursor=page.next_cursor, limit=5)
-        by_offset = store.query_projects(offset=5, limit=5)
-        assert [p.id for p in resumed.projects] == [
-            p.id for p in by_offset.projects
-        ]
-
     def test_exhausted_walk_has_no_next_cursor(self, store):
         total = store.project_count()
         page = store.query_projects(limit=total)
@@ -110,8 +100,6 @@ class TestKeysetEqualsOffset:
     def test_cursor_validation(self, store):
         with pytest.raises(StoreError):
             store.query_projects(cursor=-1)
-        with pytest.raises(StoreError):
-            store.query_projects(cursor=5, offset=3, limit=5)
 
     def test_failures_keyset_walk(self, store):
         expected = [f.project for f in store.failures()]
@@ -254,9 +242,9 @@ class TestServeCursors:
         return CorpusService(store)
 
     def test_cursor_walk_matches_offset_walk(self, service, store):
-        offset_ids = [p.id for p in store.query_projects().projects]
-        # The entry page has no cursor param (offset mode); every later
-        # page follows the cursor links the server minted.
+        expected = [p.id for p in store.query_projects().projects]
+        # The entry page has no cursor param; every later page follows
+        # the cursor links the server minted.
         response = get(service, "/v1/projects?limit=7")
         assert response.status == 200
         walked = [p["id"] for p in response.payload["projects"]]
@@ -272,17 +260,16 @@ class TestServeCursors:
             else:
                 assert response.payload["next"] is None
             token = response.payload["next_cursor"]
-        assert walked == offset_ids
+        assert walked == expected
 
     def test_next_cursor_is_an_opaque_resumable_token(self, service, store):
         first = get(service, "/v1/projects?limit=4")
         token = first.payload["next_cursor"]
         assert decode_project_cursor(token) == first.payload["projects"][-1]["id"]
         resumed = service.handle("/v1/projects", {"cursor": token, "limit": "4"})
-        by_offset = store.query_projects(offset=4, limit=4)
-        assert [p["id"] for p in resumed.payload["projects"]] == [
-            p.id for p in by_offset.projects
-        ]
+        assert [p["id"] for p in resumed.payload["projects"]] == (
+            store.project_ids()[4:8]
+        )
 
     def test_bad_cursors_400(self, service):
         assert service.handle("/v1/projects", {"cursor": "garbage!"}).status == 400
@@ -295,29 +282,26 @@ class TestServeCursors:
         )
 
     def test_cursor_is_v1_only(self, service):
+        # Only /v1 pages by cursor; the unversioned path is no route at all.
         token = encode_project_cursor(1)
-        assert service.handle("/projects", {"cursor": token}).status == 400
+        assert service.handle("/v1/projects", {"cursor": token}).status == 200
+        response = service.handle("/projects", {"cursor": token})
+        assert response.status == 404
+        assert response.payload["error"]["code"] == "not_found"
 
-    def test_cursor_and_offset_are_mutually_exclusive(self, service):
+    def test_offset_is_refused_naming_the_cursor(self, service):
+        # Ignoring offset= would hand an offset walker page 1 forever.
         token = encode_project_cursor(1)
-        response = service.handle(
-            "/v1/projects", {"cursor": token, "offset": "3"}
-        )
-        assert response.status == 400
-        assert "mutually exclusive" in response.payload["error"]["message"]
-
-    def test_offset_pagination_carries_deprecation_headers(self, service):
-        response = service.handle("/v1/projects", {"offset": "2", "limit": "5"})
-        assert response.status == 200
-        headers = dict(response.headers)
-        assert headers["Deprecation"] == "true"
-        assert 'rel="successor-version"' in headers["Link"]
-        assert "offset" not in headers["Link"]
-        # The successor keeps the filters, just not the offset.
-        filtered = service.handle(
-            "/v1/projects", {"offset": "2", "outcome": "studied"}
-        )
-        assert "outcome=studied" in dict(filtered.headers)["Link"]
+        for path, params in (
+            ("/v1/projects", {"offset": "2", "limit": "5"}),
+            ("/v1/projects", {"offset": "0"}),
+            ("/v1/projects", {"cursor": token, "offset": "3"}),
+            ("/v1/failures", {"offset": "2", "limit": "5"}),
+        ):
+            response = service.handle(path, params)
+            assert response.status == 400, (path, params)
+            assert response.payload["error"]["code"] == "bad_request"
+            assert "cursor" in response.payload["error"]["message"]
 
     def test_cursor_pagination_is_not_deprecated(self, service):
         first = get(service, "/v1/projects?limit=4")

@@ -2,10 +2,10 @@
 
 A real ``ThreadingHTTPServer`` on an ephemeral port over a seeded
 store: pagination bounds, unknown project -> 404, ``If-None-Match`` ->
-304, gzip negotiation, and ``/metrics`` counter increments — plus
-socket-free unit tests of the routing service, the versioned ``/v1``
-surface (error envelopes, ``next`` links, ``/v1/failures``, legacy
-``Deprecation`` headers), degraded serving under store outage, and
+304, gzip negotiation, and ``/v1/metrics`` counter increments — plus
+socket-free unit tests of the routing service, the ``/v1`` surface
+(error envelopes, cursor ``next`` links, ``/v1/failures``, 404 for
+every unversioned path), degraded serving under store outage, and
 subprocess-level SIGINT/SIGTERM graceful shutdown.
 """
 
@@ -21,6 +21,7 @@ import pytest
 
 from repro.resilience import CircuitBreaker
 from repro.serve import CorpusService, start_server
+from repro.serve.cursors import encode_project_cursor
 from repro.store import CorpusStore, ingest_corpus
 from tests.test_store import SCHEMA_V0, SCHEMA_V1, repo_with_history, small_corpus
 
@@ -61,7 +62,7 @@ def request(server, path, headers=None):
 
 class TestProjects:
     def test_lists_every_ingested_project(self, server, seeded_store):
-        status, _, payload = request(server, "/projects")
+        status, _, payload = request(server, "/v1/projects")
         assert status == 200
         assert payload["total"] == seeded_store.project_count()
         assert [p["project"] for p in payload["projects"]] == [
@@ -71,111 +72,122 @@ class TestProjects:
         for key in ("id", "project", "outcome", "taxon", "n_commits"):
             assert key in record
 
-    def test_pagination_bounds(self, server):
-        status, _, first = request(server, "/projects?limit=2&offset=0")
+    def test_pagination_bounds(self, server, seeded_store):
+        status, _, first = request(server, "/v1/projects?limit=2")
         assert status == 200 and len(first["projects"]) == 2
-        status, _, rest = request(server, "/projects?limit=2&offset=2")
+        status, _, rest = request(server, first["next"])
         assert status == 200
         assert not {p["id"] for p in first["projects"]} & {
             p["id"] for p in rest["projects"]
         }
-        status, _, beyond = request(server, "/projects?offset=999")
+        last = encode_project_cursor(max(seeded_store.project_ids()))
+        status, _, beyond = request(server, f"/v1/projects?cursor={last}")
         assert status == 200 and beyond["projects"] == []
         assert beyond["total"] == first["total"]
-        status, _, error = request(server, "/projects?limit=0")
-        assert status == 400 and "limit" in error["error"]
-        status, _, error = request(server, "/projects?limit=501")
+        status, _, error = request(server, "/v1/projects?limit=0")
+        assert status == 400 and "limit" in error["error"]["message"]
+        status, _, error = request(server, "/v1/projects?limit=501")
         assert status == 400
-        status, _, error = request(server, "/projects?offset=nope")
+        status, _, error = request(server, "/v1/projects?cursor=nope")
         assert status == 400
 
     def test_taxon_and_metric_filters(self, server):
-        status, _, payload = request(server, "/projects?taxon=history-less")
+        status, _, payload = request(server, "/v1/projects?taxon=history-less")
         assert status == 200
         assert [p["project"] for p in payload["projects"]] == ["ok/rigid"]
-        status, _, payload = request(server, "/projects?min_n_commits=3")
+        status, _, payload = request(server, "/v1/projects?min_n_commits=3")
         assert status == 200
         assert [p["project"] for p in payload["projects"]] == ["ok/beta"]
-        status, _, error = request(server, "/projects?min_bogus=1")
-        assert status == 400 and "min_bogus" in error["error"]
-        status, _, error = request(server, "/projects?taxon=bogus")
+        status, _, error = request(server, "/v1/projects?min_bogus=1")
+        assert status == 400 and "min_bogus" in error["error"]["message"]
+        status, _, error = request(server, "/v1/projects?taxon=bogus")
         assert status == 400
 
     def test_project_detail_carries_the_version_ledger(self, server):
-        status, _, payload = request(server, "/projects/ok%2Fbeta")
+        status, _, payload = request(server, "/v1/projects/ok%2Fbeta")
         assert status == 200
         assert payload["project"] == "ok/beta"
         assert [v["ordinal"] for v in payload["versions"]] == [0, 1, 2]
         # Numeric ids resolve to the same record.
-        status2, _, by_id = request(server, f"/projects/{payload['id']}")
+        status2, _, by_id = request(server, f"/v1/projects/{payload['id']}")
         assert status2 == 200 and by_id["project"] == "ok/beta"
 
 
 class TestHeartbeat:
     def test_heartbeat_rows(self, server):
-        status, _, payload = request(server, "/projects/ok%2Fbeta/heartbeat")
+        status, _, payload = request(server, "/v1/projects/ok%2Fbeta/heartbeat")
         assert status == 200
         assert payload["project"] == "ok/beta"
         assert payload["transitions"] == 2
         assert [row["transition_id"] for row in payload["heartbeat"]] == [1, 2]
 
     def test_unknown_project_is_404(self, server):
-        status, _, payload = request(server, "/projects/999/heartbeat")
-        assert status == 404 and "unknown project" in payload["error"]
-        status, _, _ = request(server, "/projects/no%2Fsuch/heartbeat")
+        status, _, payload = request(server, "/v1/projects/999/heartbeat")
+        assert status == 404 and "unknown project" in payload["error"]["message"]
+        status, _, _ = request(server, "/v1/projects/no%2Fsuch/heartbeat")
         assert status == 404
 
     def test_unknown_route_is_404(self, server):
         status, _, _ = request(server, "/nothing/here")
         assert status == 404
+        # The unversioned routes are gone, whatever the query: a 404 in
+        # the envelope, carrying the API version like every response.
+        token = encode_project_cursor(1)
+        for path in (
+            "/projects", "/taxa", "/stats", "/metrics", f"/projects?cursor={token}"
+        ):
+            status, headers, payload = request(server, path)
+            assert status == 404, path
+            assert payload["error"]["code"] == "not_found", path
+            assert headers["X-Api-Version"] == "1", path
 
 
 class TestCaching:
     def test_if_none_match_revalidates_to_304(self, server):
-        status, headers, _ = request(server, "/taxa")
+        status, headers, _ = request(server, "/v1/taxa")
         assert status == 200
         etag = headers["ETag"]
         status, headers2, payload = request(
-            server, "/taxa", {"If-None-Match": etag}
+            server, "/v1/taxa", {"If-None-Match": etag}
         )
         assert status == 304
         assert payload is None
         assert headers2["ETag"] == etag
 
     def test_etag_is_per_request_and_deterministic(self, server):
-        _, first, _ = request(server, "/projects?limit=2")
-        _, again, _ = request(server, "/projects?limit=2")
-        _, other, _ = request(server, "/projects?limit=3")
+        _, first, _ = request(server, "/v1/projects?limit=2")
+        _, again, _ = request(server, "/v1/projects?limit=2")
+        _, other, _ = request(server, "/v1/projects?limit=3")
         assert first["ETag"] == again["ETag"]
         assert first["ETag"] != other["ETag"]
 
     def test_mismatched_etag_returns_fresh_body(self, server):
-        status, _, payload = request(server, "/stats", {"If-None-Match": '"stale"'})
+        status, _, payload = request(server, "/v1/stats", {"If-None-Match": '"stale"'})
         assert status == 200 and payload is not None
 
     def test_gzip_negotiation(self, server):
         req = urllib.request.Request(
-            server.url + "/projects", headers={"Accept-Encoding": "gzip"}
+            server.url + "/v1/projects", headers={"Accept-Encoding": "gzip"}
         )
         with urllib.request.urlopen(req, timeout=10) as resp:
             assert resp.headers.get("Content-Encoding") == "gzip"
             body = gzip.decompress(resp.read())
         assert json.loads(body)["total"] > 0
         # Without the header the body comes back identity-encoded.
-        status, headers, _ = request(server, "/projects")
+        status, headers, _ = request(server, "/v1/projects")
         assert status == 200 and "Content-Encoding" not in headers
 
 
 class TestStatsAndTaxa:
     def test_stats_schema(self, server, seeded_store):
-        status, _, payload = request(server, "/stats")
+        status, _, payload = request(server, "/v1/stats")
         assert status == 200
         assert payload["content_hash"] == seeded_store.content_hash()
         assert payload["cloned_usable"] == 3
         assert payload["funnel"]["lib_io_projects"] == seeded_store.project_count()
 
     def test_taxa_schema(self, server):
-        status, _, payload = request(server, "/taxa")
+        status, _, payload = request(server, "/v1/taxa")
         assert status == 200
         taxa = payload["taxa"]
         assert set(taxa) >= {"frozen", "active", "almost frozen"}
@@ -185,32 +197,32 @@ class TestStatsAndTaxa:
 
 class TestMetrics:
     def test_counters_increment(self, server):
-        _, _, before = request(server, "/metrics")
-        request(server, "/taxa")
-        request(server, "/taxa")
-        request(server, "/projects/999/heartbeat")
-        _, _, after = request(server, "/metrics")
+        _, _, before = request(server, "/v1/metrics")
+        request(server, "/v1/taxa")
+        request(server, "/v1/taxa")
+        request(server, "/v1/projects/999/heartbeat")
+        _, _, after = request(server, "/v1/metrics")
         assert after["total_requests"] >= before["total_requests"] + 3
-        taxa_before = before["endpoints"].get("/taxa", {"requests": 0})["requests"]
-        taxa_after = after["endpoints"]["/taxa"]["requests"]
+        taxa_before = before["endpoints"].get("/v1/taxa", {"requests": 0})["requests"]
+        taxa_after = after["endpoints"]["/v1/taxa"]["requests"]
         assert taxa_after >= taxa_before + 2
-        heartbeat = after["endpoints"]["/projects/{id}/heartbeat"]
+        heartbeat = after["endpoints"]["/v1/projects/{id}/heartbeat"]
         assert heartbeat["by_status"].get("404", 0) >= 1
         assert heartbeat["latency_ms"]["max"] >= heartbeat["latency_ms"]["min"] >= 0
 
     def test_json_payload_carries_the_registry_snapshot(self, server):
-        request(server, "/taxa")
-        _, _, payload = request(server, "/metrics")
+        request(server, "/v1/taxa")
+        _, _, payload = request(server, "/v1/metrics")
         assert set(payload["registry"]) == {"counters", "gauges", "histograms"}
         counters = payload["registry"]["counters"]
-        assert counters['repro_http_requests_total{endpoint="/taxa",status="200"}'] >= 1
+        assert counters['repro_http_requests_total{endpoint="/v1/taxa",status="200"}'] >= 1
 
     def test_prometheus_exposition_under_content_negotiation(self, server):
         from tests.test_obs import assert_prometheus_parses
 
-        request(server, "/taxa")
+        request(server, "/v1/taxa")
         req = urllib.request.Request(
-            server.url + "/metrics", headers={"Accept": "text/plain; version=0.0.4"}
+            server.url + "/v1/metrics", headers={"Accept": "text/plain; version=0.0.4"}
         )
         with urllib.request.urlopen(req, timeout=10) as resp:
             assert resp.status == 200
@@ -218,7 +230,7 @@ class TestMetrics:
             text = resp.read().decode("utf-8")
         samples = assert_prometheus_parses(text)
         assert any(
-            line.startswith('repro_http_requests_total{endpoint="/taxa"')
+            line.startswith('repro_http_requests_total{endpoint="/v1/taxa"')
             for line in samples
         )
         assert any(
@@ -231,7 +243,7 @@ class TestMetrics:
         from repro.obs import recording
 
         with recording() as recorder:
-            request(server, "/taxa")
+            request(server, "/v1/taxa")
             # The handler thread closes its span just after the client
             # has the body; give it a beat to land in the recorder.
             for _ in range(200):
@@ -239,34 +251,24 @@ class TestMetrics:
                     break
                 time.sleep(0.01)
         spans = recorder.spans("http.request")
-        assert spans and spans[0].attrs["endpoint"] == "/taxa"
+        assert spans and spans[0].attrs["endpoint"] == "/v1/taxa"
         assert spans[0].attrs["status"] == 200
 
 
 class TestServiceWithoutSockets:
     def test_routes_directly(self, seeded_store):
         service = CorpusService(seeded_store)
-        ok = service.handle("/projects", {"limit": "2"})
+        ok = service.handle("/v1/projects", {"limit": "2"})
         assert ok.status == 200 and len(ok.payload["projects"]) == 2
-        missing = service.handle("/projects/does-not-exist", {})
+        missing = service.handle("/v1/projects/does-not-exist", {})
         assert missing.status == 404
-        bad = service.handle("/projects", {"limit": "-3"})
+        bad = service.handle("/v1/projects", {"limit": "-3"})
         assert bad.status == 400
-        taxa = service.handle("/taxa", {})
+        taxa = service.handle("/v1/taxa", {})
         assert taxa.status == 200 and taxa.cacheable
 
 
 class TestV1Api:
-    def test_v1_routes_answer_the_legacy_payloads(self, server):
-        for path in ("/projects", "/taxa", "/stats", "/projects/ok%2Fbeta"):
-            legacy_status, _, legacy = request(server, path)
-            v1_status, _, v1 = request(server, "/v1" + path)
-            assert (legacy_status, v1_status) == (200, 200)
-            legacy.pop("next", None), v1.pop("next", None)
-            v1.pop("next_cursor", None)
-            v1.pop("api", None)  # the API metadata block is v1-only
-            assert legacy == v1
-
     def test_v1_error_envelope(self, server):
         status, _, payload = request(server, "/v1/projects?limit=0")
         assert status == 400
@@ -286,14 +288,15 @@ class TestV1Api:
         status, _, page = request(server, "/v1/projects?limit=2")
         assert status == 200
         assert page["total"] == seeded_store.project_count()
-        assert page["next"] == "/v1/projects?limit=2&offset=2"
-        seen = {p["id"] for p in page["projects"]}
+        assert page["next"] == f"/v1/projects?cursor={page['next_cursor']}&limit=2"
+        seen = [p["id"] for p in page["projects"]]
         while page["next"] is not None:
+            assert "cursor=" in page["next"] and "offset" not in page["next"]
             status, _, page = request(server, page["next"])
             assert status == 200
-            ids = {p["id"] for p in page["projects"]}
-            assert not ids & seen  # pages never overlap
-            seen |= ids
+            seen.extend(p["id"] for p in page["projects"])
+        # Every project exactly once, in order, through cursor links.
+        assert seen == seeded_store.project_ids()
         assert len(seen) == page["total"]
 
     def test_next_link_preserves_filters(self, server):
@@ -312,18 +315,9 @@ class TestV1Api:
                 "project", "stage", "error", "message", "attempts"
             }
             assert failure["attempts"] >= 1
-        # The failures ledger is v1-only: the legacy path 404s.
+        # No route answers outside /v1: the unversioned path 404s.
         status, _, _ = request(server, "/failures")
         assert status == 404
-
-    def test_legacy_routes_carry_deprecation_headers(self, server):
-        status, headers, _ = request(server, "/projects")
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        assert "</v1/projects>" in headers["Link"]
-        assert 'rel="successor-version"' in headers["Link"]
-        status, headers, _ = request(server, "/metrics")
-        assert status == 200 and headers["Deprecation"] == "true"
 
     def test_v1_routes_do_not_carry_deprecation_headers(self, server):
         for path in ("/v1/projects", "/v1/taxa", "/v1/metrics"):
@@ -340,9 +334,6 @@ class TestV1Api:
         )
         assert status == 304 and payload is None
         assert headers2["ETag"] == etag
-        # v1 and legacy cache entries are distinct requests.
-        _, legacy_headers, _ = request(server, "/taxa")
-        assert legacy_headers["ETag"] != etag
 
     def test_v1_metrics_payload(self, server):
         request(server, "/v1/taxa")
@@ -407,9 +398,11 @@ class TestDegradedServing:
         assert payload["error"]["code"] == "store_unavailable"
         assert payload["error"]["detail"] is not None
         assert int(headers["Retry-After"]) >= 1
-        # Legacy routes degrade with the legacy error shape.
-        status, headers, payload = request(fragile_server, "/stats")
-        assert status == 503 and isinstance(payload["error"], str)
+        # The 503 is counted under its own /v1 endpoint label.
+        _, _, metrics = request(fragile_server, "/v1/metrics")
+        counters = metrics["registry"]["counters"]
+        series = 'repro_http_requests_total{endpoint="/v1/unavailable",status="503"}'
+        assert counters[series] >= 1
 
     def test_breaker_closes_again_once_the_store_recovers(self, fragile_server):
         request(fragile_server, "/v1/taxa")
@@ -546,16 +539,6 @@ class TestResponseCache:
             cache_server, "repro_serve_renders_total", endpoint="/v1/projects"
         ) == renders
         assert _counter(cache_server, "repro_serve_cache_hits_total") == 3
-
-    def test_legacy_routes_bypass_the_cache(self, cache_server):
-        request(cache_server, "/taxa")
-        request(cache_server, "/taxa")
-        assert _counter(cache_server, "repro_serve_cache_hits_total") == 0
-        assert _counter(cache_server, "repro_serve_cache_misses_total") == 0
-        # Every legacy request re-renders.
-        assert _counter(
-            cache_server, "repro_serve_renders_total", endpoint="/taxa"
-        ) == 2
 
     def test_errors_are_not_cached(self, cache_server):
         for _ in range(2):
@@ -797,12 +780,16 @@ class TestApiSurface:
             ("/v1/taxa", "OPTIONS"),             # 204, no body at all
             ("/v1/openapi.json", "GET"),
             ("/v1/metrics", "GET"),
+            ("/stats", "GET"),                   # 404: no unversioned route
         ):
             _, headers, _, _ = send(server, path, method=method)
             assert headers.get("X-Api-Version") == "1", (path, method)
-        # The legacy surface predates versioning and must not grow it.
-        _, headers, _, _ = send(server, "/stats")
-        assert "X-Api-Version" not in headers
+
+    def test_server_header_names_the_package_version(self, server):
+        import repro
+
+        _, headers, _, _ = send(server, "/v1/stats")
+        assert headers["Server"].startswith(f"repro-serve/{repro.__version__} ")
 
     def test_stats_reports_the_api_block(self, server):
         from repro.serve import ROUTES

@@ -22,6 +22,7 @@ import pytest
 from repro.io import export_from_store
 from repro.resilience.policy import CircuitOpen
 from repro.serve import CorpusService
+from repro.serve.cursors import encode_project_cursor
 from repro.store import (
     CorpusStore,
     ShardedCorpusStore,
@@ -116,13 +117,15 @@ class TestByteIdentity:
 
     def test_pagination_windows_match(self, stores):
         plain, sharded = stores
-        total = plain.project_count()
-        for offset in (0, 1, 2, total):
+        ids = plain.project_ids()
+        total = len(ids)
+        for cursor in (None, ids[0], ids[1], ids[-1]):
             for limit in (1, 2, total, None):
-                mine = sharded.query_projects(offset=offset, limit=limit)
-                theirs = plain.query_projects(offset=offset, limit=limit)
-                assert mine.projects == theirs.projects, (offset, limit)
+                mine = sharded.query_projects(cursor=cursor, limit=limit)
+                theirs = plain.query_projects(cursor=cursor, limit=limit)
+                assert mine.projects == theirs.projects, (cursor, limit)
                 assert mine.total == theirs.total
+                assert mine.next_cursor == theirs.next_cursor, (cursor, limit)
 
     def test_filtered_queries_match(self, stores):
         plain, sharded = stores
@@ -153,9 +156,14 @@ class TestByteIdentity:
 
     def test_rendered_v1_bodies_are_byte_identical(self, stores):
         plain, sharded = stores
+        cursor = encode_project_cursor(plain.project_ids()[0])
         paths = [
             ("/v1/projects", "", {}),
-            ("/v1/projects", "limit=2&offset=1", {"limit": "2", "offset": "1"}),
+            (
+                "/v1/projects",
+                f"cursor={cursor}&limit=2",
+                {"cursor": cursor, "limit": "2"},
+            ),
             ("/v1/projects", "outcome=studied", {"outcome": "studied"}),
             ("/v1/taxa", "", {}),
             ("/v1/stats", "", {}),
@@ -166,6 +174,7 @@ class TestByteIdentity:
         for path, query, params in paths:
             ours = mine.handle_rendered(path, query, params)
             ref = theirs.handle_rendered(path, query, params)
+            assert ref.response.status == 200, (path, query)
             assert ours.body == ref.body, path
             assert ours.content_hash == ref.content_hash, path
 

@@ -304,13 +304,16 @@ class TestQueries:
 
     def test_pagination_is_stable(self, seeded):
         total = seeded.project_count()
-        seen = []
-        for offset in range(0, total, 2):
-            page = seeded.query_projects(offset=offset, limit=2)
+        seen, cursor = [], None
+        while True:
+            page = seeded.query_projects(cursor=cursor, limit=2)
             assert page.total == total
             seen.extend(p.name for p in page.projects)
+            if page.next_cursor is None:
+                break
+            cursor = page.next_cursor
         assert seen == [p.name for p in seeded.query_projects().projects]
-        beyond = seeded.query_projects(offset=total + 5, limit=2)
+        beyond = seeded.query_projects(cursor=max(seeded.project_ids()), limit=2)
         assert beyond.projects == ()
         assert beyond.total == total
 
