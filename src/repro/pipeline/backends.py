@@ -11,13 +11,29 @@ CPU-bound workload (0.75x), so it was removed.
 - :class:`ProcessBackend` — worker *processes* that sidestep the GIL;
   the default for ``jobs > 1`` under ``executor="auto"``.
 
-The process backend's contract with the rest of the system:
+Both schedule on a :class:`WorkerPool`, which incremental ingest
+(:mod:`repro.store.ingest`) also drives directly, one pool per run.
+The process contract with the rest of the system:
 
-- **Task shipping** — the parent resolves each task's repository via
-  the provider (or the pipeline's seed map) into a picklable
-  :class:`ProjectMaterial`; workers never see the provider.  A provider
+- **Task shipping** — a slice of work (:class:`WorkerChunk`) carries
+  one of two kinds of material.  A :class:`ProjectMaterial` is a task
+  the parent resolved: its repository via the provider (or the
+  pipeline's seed map), plus the usable version list when ingest
+  already extracted it; workers never see the provider.  A provider
   that *raises* in the parent is re-run inside ``run_project`` in the
-  parent process so its failure keeps the exact serial retry semantics.
+  parent process so its failure keeps the exact serial retry
+  semantics.  A stream material is an index: the slice ships a
+  picklable :class:`MaterialSource` (the stream spec, the indices and
+  the store's fingerprints of their names), and the worker synthesizes,
+  extracts and fingerprints each project itself, drops the unchanged
+  ones and measures the rest.  :func:`run_slice` is that one path; the
+  serial executor runs it inline.
+- **Pool lifetime** — a :class:`WorkerPool` forks its ``jobs`` workers
+  on the first submit and keeps them for every slice of its run: one
+  ``pipeline.run``, or a whole ingest, whose parent persists one chunk
+  while the next is on the workers.  It closes in a ``finally`` that
+  cancels whatever is still queued, so a raise or Ctrl-C leaves no
+  worker running.
 - **Deterministic partitioning** — tasks are split into contiguous
   chunks (``min(n, jobs * 4)`` of them); the assignment's content hash
   is recorded via :meth:`PipelineStats.note_partition` for every
@@ -25,24 +41,26 @@ The process backend's contract with the rest of the system:
 - **Cache sharing** — workers build their own :class:`SchemaCache`
   over the same ``cache_dir``; the on-disk layer (atomic pid-unique
   tmp + rename writes) is the shared medium.  In-memory counters ride
-  home with each chunk and merge into the parent registry.
+  home with each slice and merge into the parent registry.
 - **Observability relay** — each worker records spans into a private
   :class:`TraceRecorder` and metrics into a private
-  :class:`MetricsRegistry`; finished chunks ship both back, the parent
-  grafts spans under its in-flight ``pipeline.run`` span
-  (:meth:`TraceRecorder.adopt`) and folds metric deltas in
-  (:meth:`MetricsRegistry.merge_state`), so ``--trace``/``--stats``
-  read the same truth regardless of backend.
-- **Worker death** — a chunk whose worker dies (``BrokenProcessPool``)
-  is retried in an isolated single-worker pool (a dying worker poisons
-  every future sharing its pool, so innocent pool-mates get their own
-  second chance); a chunk that kills its isolated pool too demotes each
-  of its projects to an ``executor``-stage
-  :class:`~repro.pipeline.stages.ProjectFailure` and the run completes.
-  Chunks failing for non-fatal reasons (e.g. an unpicklable repository)
-  fall back to inline execution in the parent.
+  :class:`MetricsRegistry`; finished slices ship both back, the parent
+  grafts spans under the span it collects them in (``pipeline.run``,
+  or ingest's ``ingest.measure``) via :meth:`TraceRecorder.adopt` and
+  folds metric deltas in (:meth:`MetricsRegistry.merge_state`), so
+  ``--trace``/``--stats`` read the same truth regardless of backend.
+- **Worker death** — a dying worker (``BrokenProcessPool``) poisons
+  every future of its pool, queued ones included.  The broken pool is
+  shut down, its manager thread joined, and never reused; then each
+  slice it took down, from every chunk still in flight, retries in its
+  own single-worker pool before anything else forks, so innocent
+  pool-mates get their own second chance.  A slice that kills its
+  isolated pool too demotes each of its projects to an
+  ``executor``-stage :class:`~repro.pipeline.stages.ProjectFailure`
+  and the run completes.  Slices failing for non-fatal reasons (e.g. an
+  unpicklable repository) fall back to inline execution in the parent.
 - **Profiling** — when the run is under ``--profile``, each worker
-  profiles its chunks and the parent aggregates the dumps into one
+  profiles its slices and the parent aggregates the dumps into one
   ``<profile stem>-workers.pstats`` next to the parent profile.
 
 Custom stage chains (``MeasurementPipeline(stages=...)``) hold live
@@ -53,12 +71,13 @@ the process backend there falls back to serial with a warning.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -79,6 +98,8 @@ from repro.vcs.history import FileVersion
 from repro.vcs.repository import Repository
 
 if TYPE_CHECKING:  # circular at runtime: pipeline.py imports this module
+    from repro.obs.metrics import MetricsRegistry
+    from repro.pipeline.cache import SchemaCache
     from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
 
 #: The accepted ``--executor`` / ``PipelineConfig.executor`` values.
@@ -118,24 +139,41 @@ class ProjectMaterial:
     versions: tuple[FileVersion, ...] | None = None
 
 
+class MaterialSource(Protocol):
+    """Materials a slice resolves where it runs (an ingest stream slice)."""
+
+    def resolve(
+        self, config: "PipelineConfig"
+    ) -> tuple[list[ProjectMaterial], dict[str, str]]:
+        """The materials to measure, and each one's fingerprint by name."""
+        ...  # pragma: no cover - protocol
+
+
 @dataclass(frozen=True)
 class WorkerChunk:
-    """One contiguous slice of the run, shipped to one worker call."""
+    """One contiguous slice of the run, shipped to one worker call:
+    resolved *materials*, or a *source* that resolves them there."""
 
     chunk_id: int
     config: "PipelineConfig"
-    materials: tuple[ProjectMaterial, ...]
-    profile_dir: str | None = None  # set when the parent run is profiled
+    materials: tuple[ProjectMaterial, ...] = ()
+    source: MaterialSource | None = None
+
+    def resolve(self) -> tuple[Sequence[ProjectMaterial], dict[str, str]]:
+        if self.source is None:
+            return self.materials, {}
+        return self.source.resolve(self.config)
 
 
 @dataclass
 class ChunkOutcome:
-    """What a worker sends home: contexts plus observability deltas."""
+    """What a slice sends home: contexts plus observability deltas."""
 
     chunk_id: int
     contexts: list[tuple[int, ProjectContext]]
-    metrics: list[dict]  # MetricsRegistry.dump_state()
-    spans: list[dict]  # Span.payload() list
+    fingerprints: dict[str, str]  # of a source's materials, by name
+    metrics: list[dict] = field(default_factory=list)  # dump_state()
+    spans: list[dict] = field(default_factory=list)  # Span.payload() list
 
 
 def partition(count: int, jobs: int) -> list[tuple[int, int]]:
@@ -160,14 +198,20 @@ def partition(count: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def partition_digest(
-    tasks: Sequence[ProjectTask], chunks: Sequence[tuple[int, int]], backend: str
+    tasks: Sequence[ProjectTask] | Sequence[str],
+    chunks: Sequence[tuple[int, int]],
+    backend: str,
 ) -> str:
-    """Content hash of one task-to-chunk assignment."""
+    """Content hash of one task-to-chunk assignment.  A task may be
+    given by its name alone: an ingest stream chunk is dispatched
+    before its tasks exist."""
     digest = hashlib.sha256(backend.encode())
     for chunk_id, (start, stop) in enumerate(chunks):
         digest.update(f"|{chunk_id}:".encode())
         for task in tasks[start:stop]:
-            digest.update(f"{task.repo_name}\x00{task.ddl_path}\x00".encode())
+            if not isinstance(task, str):
+                task = f"{task.repo_name}\x00{task.ddl_path}"
+            digest.update(f"{task}\x00".encode())
     return digest.hexdigest()
 
 
@@ -184,58 +228,279 @@ def _note_partition(
     )
 
 
-# -- the worker side -------------------------------------------------------
+# -- one slice, wherever it runs --------------------------------------------
 
 
-def _run_worker_chunk(chunk: WorkerChunk) -> ChunkOutcome:
-    """Execute one chunk inside a worker process.
+def run_slice(chunk: WorkerChunk, cache: "SchemaCache") -> ChunkOutcome:
+    """Resolve and measure one slice: in a worker, or inline in the parent.
 
-    Builds a private pipeline over the shipped materials: a fresh
-    registry and cache (sharing only the on-disk ``cache_dir``), a
-    seeded extract stage when version lists came along, and a private
-    trace recorder whose spans ride home in the outcome.  Contexts are
-    stripped of their repository/version payloads before pickling — the
-    parent holds those objects already.
+    Materials with a version list replay it through a seeded extract
+    stage; the rest extract from their shipped repository.  Metrics land
+    in *cache*'s registry and spans in the active recorder.
+    """
+    from repro.pipeline.pipeline import MeasurementPipeline
+
+    materials, fingerprints = chunk.resolve()
+    repos = {m.task.repo_name: m.repo for m in materials}
+    seeds = {
+        m.task.repo_name: (m.repo, list(m.versions))
+        for m in materials
+        if m.versions is not None
+    }
+    seeded = MeasurementPipeline(repos.get, chunk.config, cache, seeds=seeds)
+    extracting = MeasurementPipeline(repos.get, chunk.config, cache)
+    contexts = [
+        (m.index, (seeded if m.versions is not None else extracting).run_project(m.task))
+        for m in materials
+    ]
+    return ChunkOutcome(chunk.chunk_id, contexts, fingerprints)
+
+
+#: Tells apart the profile dumps one worker writes over a pool's life.
+_PROFILE_DUMPS = itertools.count()
+
+
+def _run_worker_chunk(chunk: WorkerChunk, profile_dir: str | None) -> ChunkOutcome:
+    """Execute one slice inside a worker process.
+
+    :func:`run_slice` under a fresh registry and cache (sharing only the
+    on-disk ``cache_dir``) and a private trace recorder whose spans ride
+    home in the outcome.  Contexts are stripped of their
+    repository/version payloads before pickling — the parent holds
+    those objects already, or does not need them.
     """
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import TraceRecorder, recording, reset_tracing_for_worker
     from repro.pipeline.cache import SchemaCache
-    from repro.pipeline.pipeline import MeasurementPipeline
 
     reset_tracing_for_worker()  # drop tracing state inherited over fork
     registry = MetricsRegistry()
-    cache = SchemaCache(chunk.config.cache_dir, registry=registry)
-    repos: dict[str, Repository | None] = {}
-    seeds: dict[str, tuple[Repository | None, list[FileVersion]]] = {}
-    for material in chunk.materials:
-        repos[material.task.repo_name] = material.repo
-        if material.versions is not None:
-            seeds[material.task.repo_name] = (material.repo, list(material.versions))
-    pipeline = MeasurementPipeline(
-        provider=repos.get,
-        config=replace(chunk.config, jobs=1, executor="serial"),
-        cache=cache,
-        seeds=seeds if seeds else None,
-    )
+    recorder = TraceRecorder()
     profile_path = (
-        Path(chunk.profile_dir) / f"chunk-{chunk.chunk_id}-{os.getpid()}.pstats"
-        if chunk.profile_dir is not None
+        Path(profile_dir) / f"slice-{os.getpid()}-{next(_PROFILE_DUMPS)}.pstats"
+        if profile_dir is not None
         else None
     )
-    recorder = TraceRecorder()
-    contexts: list[tuple[int, ProjectContext]] = []
+    cache = SchemaCache(chunk.config.cache_dir, registry=registry)
     with recording(recorder), profiled(profile_path):
-        for material in chunk.materials:
-            ctx = pipeline.run_project(material.task)
-            ctx.repo = None  # the parent reattaches its own object
-            ctx.file_versions = []
-            contexts.append((material.index, ctx))
-    return ChunkOutcome(
-        chunk_id=chunk.chunk_id,
-        contexts=contexts,
-        metrics=registry.dump_state(),
-        spans=[span.payload() for span in recorder.spans()],
-    )
+        outcome = run_slice(chunk, cache)
+    for _, ctx in outcome.contexts:
+        ctx.repo = None
+        ctx.file_versions = []
+    outcome.metrics = registry.dump_state()
+    outcome.spans = [span.payload() for span in recorder.spans()]
+    return outcome
+
+
+# -- the pool ---------------------------------------------------------------
+
+
+def _fork_pool(workers: int) -> ProcessPoolExecutor:
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        context = multiprocessing.get_context()
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
+@dataclass
+class Batch:
+    """The slices of one submit, and what became of them."""
+
+    work: list[WorkerChunk]
+    futures: dict[Future, WorkerChunk] = field(default_factory=dict)
+    outcomes: list[ChunkOutcome] = field(default_factory=list)
+    dead: list[WorkerChunk] = field(default_factory=list)  # killed twice
+    errored: list[WorkerChunk] = field(default_factory=list)  # run inline
+
+
+class WorkerPool:
+    """The worker processes of one run, forked on the first submit.
+
+    Slices go in through :meth:`submit` and come back, settled, through
+    :meth:`results`; a caller may submit the next batch before
+    collecting the previous one.  With ``jobs == 1`` nothing forks and
+    :meth:`results` runs each slice inline.  Use it as a context
+    manager: closing cancels queued slices and joins every worker.
+    """
+
+    def __init__(self, jobs: int, registry: "MetricsRegistry") -> None:
+        self.jobs = jobs
+        self.registry = registry  # where worker metrics merge
+        self._profile_dir = self._open_profile_dir() if jobs > 1 else None
+        self._executor: ProcessPoolExecutor | None = None
+        self._batches: list[Batch] = []  # submitted, not yet collected
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def submit(self, work: Sequence[WorkerChunk]) -> Batch:
+        batch = Batch(list(work))
+        if self.jobs > 1:
+            self._batches.append(batch)
+            for chunk in work:
+                batch.futures[self._submit(chunk)] = chunk
+        return batch
+
+    def results(
+        self, batch: Batch, cache: "SchemaCache"
+    ) -> tuple[list[tuple[int, ProjectContext]], dict[str, str]]:
+        """Every context of *batch* in material order, plus the
+        fingerprints its sources resolved.  Worker metrics and spans fold
+        into the parent here; slices that errored run inline over
+        *cache*."""
+        if self.jobs == 1:
+            outcomes = [run_slice(chunk, cache) for chunk in batch.work]
+        else:
+            if any(
+                isinstance(future.exception(), BrokenProcessPool)
+                for future in batch.futures
+            ):
+                self._recover()
+            else:
+                self._settle(batch)
+            self._batches.remove(batch)
+            outcomes = sorted(batch.outcomes, key=lambda outcome: outcome.chunk_id)
+            repos = {m.index: m.repo for chunk in batch.work for m in chunk.materials}
+            for outcome in outcomes:
+                self._merge(outcome)
+                for index, ctx in outcome.contexts:
+                    ctx.repo = repos.get(index)  # the parent's own object, if any
+            outcomes += [run_slice(chunk, cache) for chunk in batch.errored]
+            outcomes += [self._demoted(chunk) for chunk in batch.dead]
+        contexts: list[tuple[int, ProjectContext]] = []
+        fingerprints: dict[str, str] = {}
+        for outcome in outcomes:
+            contexts += outcome.contexts
+            fingerprints.update(outcome.fingerprints)
+        contexts.sort(key=lambda item: item[0])
+        return contexts, fingerprints
+
+    def close(self) -> None:
+        """Cancel queued slices, join the workers, merge their profiles."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+        if self._profile_dir is not None:
+            self._merge_profiles(self._profile_dir)
+            self._profile_dir = None
+
+    # -- helpers ----------------------------------------------------------
+
+    def _submit(self, chunk: WorkerChunk) -> Future:
+        while True:  # a broken pool is replaced once the damage is settled
+            if self._executor is None:
+                self._executor = _fork_pool(self.jobs)
+            try:
+                return self._executor.submit(
+                    _run_worker_chunk, chunk, self._profile_dir
+                )
+            except BrokenProcessPool:
+                self._recover()
+
+    def _settle(self, batch: Batch) -> list[WorkerChunk]:
+        """Move every future of *batch* into its outcome lists; returns
+        the slices whose worker died."""
+        broken: list[WorkerChunk] = []
+        for future, chunk in batch.futures.items():
+            try:
+                batch.outcomes.append(future.result())
+            except BrokenProcessPool:
+                broken.append(chunk)
+            except Exception:
+                batch.errored.append(chunk)
+        batch.futures.clear()
+        return broken
+
+    def _recover(self) -> None:
+        """Retire the broken pool, then retry each slice it took down in
+        its own single-worker pool.
+
+        A dying worker poisons every future sharing its pool, so
+        isolation is the only way to tell the slice that kills workers
+        apart from its innocent pool-mates.  The broken pool is shut down
+        (its manager thread joined) first, so nothing forks beside a live
+        thread; its replacement forks on the next submit.
+        """
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+        for batch in self._batches:
+            for chunk in self._settle(batch):
+                with _fork_pool(1) as isolated:
+                    future = isolated.submit(
+                        _run_worker_chunk, chunk, self._profile_dir
+                    )
+                    try:
+                        batch.outcomes.append(future.result())
+                    except BrokenProcessPool:
+                        batch.dead.append(chunk)
+                    except Exception:
+                        batch.errored.append(chunk)
+
+    def _merge(self, outcome: ChunkOutcome) -> None:
+        """Fold one worker slice's metrics and spans into the parent."""
+        self.registry.merge_state(outcome.metrics)
+        recorder = active_recorder()
+        if recorder is not None and outcome.spans:
+            recorder.adopt(
+                outcome.spans,
+                parent_id=current_span_id(),
+                thread=f"worker-{outcome.chunk_id}",
+            )
+
+    @staticmethod
+    def _demoted(chunk: WorkerChunk) -> ChunkOutcome:
+        """The outcome of a slice whose worker died twice: an
+        ``executor``-stage failure per project (a source resolves its
+        projects in the parent to name them)."""
+        materials, fingerprints = chunk.resolve()
+        contexts = []
+        for material in materials:
+            failure = ProjectFailure(
+                project=material.task.repo_name,
+                stage="executor",
+                error="BrokenProcessPool",
+                message="worker process died while running this project's chunk",
+            )
+            contexts.append(
+                (
+                    material.index,
+                    ProjectContext(
+                        task=material.task, outcome=Outcome.FAILED, failure=failure
+                    ),
+                )
+            )
+        return ChunkOutcome(chunk.chunk_id, contexts, fingerprints)
+
+    @staticmethod
+    def _open_profile_dir() -> str | None:
+        """Scratch directory for worker profile dumps, when profiling."""
+        parent = active_profile_path()
+        if parent is None:
+            return None
+        directory = worker_profile_dir(parent)
+        directory.mkdir(parents=True, exist_ok=True)
+        return str(directory)
+
+    @staticmethod
+    def _merge_profiles(directory: str) -> None:
+        """Aggregate worker dumps next to the parent profile, then tidy."""
+        parent = active_profile_path()
+        dumps = sorted(Path(directory).glob("*.pstats"))
+        if parent is not None:
+            merge_worker_profiles(
+                dumps, parent.with_name(parent.stem + "-workers.pstats")
+            )
+        for dump in dumps:
+            dump.unlink(missing_ok=True)
+        try:
+            Path(directory).rmdir()
+        except OSError:  # pragma: no cover - leftover foreign files
+            pass
 
 
 # -- the backends ----------------------------------------------------------
@@ -285,186 +550,33 @@ class ProcessBackend:
         if jobs == 1 or len(tasks) <= 1:
             return [pipeline.run_project(task) for task in tasks]
 
-        materials, inline_indices = self._resolve_materials(pipeline, tasks)
-        profile_dir = self._profile_dir()
-        work: list[WorkerChunk] = []
-        for chunk_id, (start, stop) in enumerate(chunks):
-            shipped = tuple(
-                materials[i]
-                for i in range(start, stop)
-                if materials[i] is not None
-            )
-            if shipped:
-                work.append(
-                    WorkerChunk(
-                        chunk_id=chunk_id,
-                        config=pipeline.config,
-                        materials=shipped,
-                        profile_dir=(
-                            str(profile_dir) if profile_dir is not None else None
-                        ),
-                    )
-                )
-
-        results: dict[int, ProjectContext] = {}
-        outcomes, broken, errored = self._submit_round(work, jobs)
-        if broken:
-            # Broken chunks retry one at a time in single-worker pools:
-            # a dying worker poisons every future sharing its pool, so
-            # isolation is the only way to tell the one chunk that kills
-            # workers apart from its innocent pool-mates.
-            still_broken: list[WorkerChunk] = []
-            for chunk in broken:
-                retried, dead, errored_again = self._submit_round([chunk], 1)
-                outcomes.extend(retried)
-                still_broken.extend(dead)
-                errored.extend(errored_again)
-            broken = still_broken
-        for chunk in broken:
-            for material in chunk.materials:
-                results[material.index] = self._executor_failure(material.task)
-        for chunk in errored:
-            # Non-fatal chunk errors (an unpicklable repository, a torn
-            # queue) run inline — the parent has everything it needs.
-            for material in chunk.materials:
-                results[material.index] = pipeline.run_project(material.task)
-        for outcome in sorted(outcomes, key=lambda o: o.chunk_id):
-            self._merge_outcome(pipeline, outcome, materials, results)
-        for index in inline_indices:
-            # The provider raised during resolution; run_project re-runs
-            # it here so retry/failure semantics match the serial path.
-            results[index] = pipeline.run_project(tasks[index])
-        if profile_dir is not None:
-            self._merge_profiles(profile_dir)
-        return [results[index] for index in range(len(tasks))]
-
-    # -- helpers ----------------------------------------------------------
-
-    def _resolve_materials(
-        self, pipeline: "MeasurementPipeline", tasks: Sequence[ProjectTask]
-    ) -> tuple[list[ProjectMaterial | None], list[int]]:
-        """Resolve every task into a picklable material in the parent.
-
-        Returns the material list (None where the provider raised) plus
-        the indices that must run inline in the parent.
-        """
-        seeds = pipeline.seeds
         materials: list[ProjectMaterial | None] = []
-        inline: list[int] = []
+        seeds = pipeline.seeds
         for index, task in enumerate(tasks):
             if seeds is not None:
                 repo, versions = seeds.get(task.repo_name, (None, []))
-                materials.append(
-                    ProjectMaterial(index, task, repo, tuple(versions))
-                )
+                materials.append(ProjectMaterial(index, task, repo, tuple(versions)))
                 continue
             try:
-                repo = pipeline.provider(task.repo_name)
+                materials.append(
+                    ProjectMaterial(index, task, pipeline.provider(task.repo_name))
+                )
             except Exception:
-                materials.append(None)
-                inline.append(index)
-                continue
-            materials.append(ProjectMaterial(index, task, repo))
-        return materials, inline
-
-    def _submit_round(
-        self, work: Sequence[WorkerChunk], jobs: int
-    ) -> tuple[list[ChunkOutcome], list[WorkerChunk], list[WorkerChunk]]:
-        """Run one pool over *work*; split results from casualties.
-
-        Returns ``(outcomes, broken, errored)`` where *broken* chunks
-        saw their worker die (``BrokenProcessPool``) and *errored*
-        chunks failed for recoverable reasons (pickling and friends).
-        """
-        outcomes: list[ChunkOutcome] = []
-        broken: list[WorkerChunk] = []
-        errored: list[WorkerChunk] = []
-        if not work:
-            return outcomes, broken, errored
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            context = multiprocessing.get_context()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=jobs, mp_context=context
-            ) as pool:
-                futures = {}
-                for chunk in work:
-                    try:
-                        futures[pool.submit(_run_worker_chunk, chunk)] = chunk
-                    except BrokenProcessPool:
-                        broken.append(chunk)
-                for future in as_completed(futures):
-                    chunk = futures[future]
-                    try:
-                        outcomes.append(future.result())
-                    except BrokenProcessPool:
-                        broken.append(chunk)
-                    except Exception:
-                        errored.append(chunk)
-        except BrokenProcessPool:  # pragma: no cover - shutdown race
-            pass
-        return outcomes, broken, errored
-
-    @staticmethod
-    def _executor_failure(task: ProjectTask) -> ProjectContext:
-        """The record a project gets when its worker died twice."""
-        failure = ProjectFailure(
-            project=task.repo_name,
-            stage="executor",
-            error="BrokenProcessPool",
-            message="worker process died while running this project's chunk",
-        )
-        return ProjectContext(task=task, outcome=Outcome.FAILED, failure=failure)
-
-    @staticmethod
-    def _merge_outcome(
-        pipeline: "MeasurementPipeline",
-        outcome: ChunkOutcome,
-        materials: Sequence[ProjectMaterial | None],
-        results: dict[int, ProjectContext],
-    ) -> None:
-        """Fold one worker chunk into the parent's state."""
-        pipeline.stats.registry.merge_state(outcome.metrics)
-        recorder = active_recorder()
-        if recorder is not None and outcome.spans:
-            recorder.adopt(
-                outcome.spans,
-                parent_id=current_span_id(),
-                thread=f"worker-{outcome.chunk_id}",
-            )
-        for index, ctx in outcome.contexts:
-            material = materials[index]
-            if material is not None:
-                ctx.repo = material.repo
-            results[index] = ctx
-
-    @staticmethod
-    def _profile_dir() -> Path | None:
-        """Scratch directory for worker profile dumps, when profiling."""
-        parent = active_profile_path()
-        if parent is None:
-            return None
-        directory = worker_profile_dir(parent)
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory
-
-    @staticmethod
-    def _merge_profiles(directory: Path) -> None:
-        """Aggregate worker dumps next to the parent profile, then tidy."""
-        parent = active_profile_path()
-        if parent is None:  # pragma: no cover - profiling raced off
-            return
-        dumps = sorted(directory.glob("*.pstats"))
-        out = parent.with_name(parent.stem + "-workers.pstats")
-        merge_worker_profiles(dumps, out)
-        for dump in dumps:
-            dump.unlink(missing_ok=True)
-        try:
-            directory.rmdir()
-        except OSError:  # pragma: no cover - leftover foreign files
-            pass
+                materials.append(None)  # re-run inline below
+        work = [
+            WorkerChunk(chunk_id, pipeline.config, shipped)
+            for chunk_id, (start, stop) in enumerate(chunks)
+            if (shipped := tuple(m for m in materials[start:stop] if m is not None))
+        ]
+        with WorkerPool(jobs, pipeline.stats.registry) as pool:
+            contexts, _ = pool.results(pool.submit(work), pipeline.cache)
+        results = dict(contexts)
+        for index, material in enumerate(materials):
+            if material is None:
+                # The provider raised during resolution; run_project re-runs
+                # it here so retry/failure semantics match the serial path.
+                results[index] = pipeline.run_project(tasks[index])
+        return [results[index] for index in range(len(tasks))]
 
 
 def resolve_backend(

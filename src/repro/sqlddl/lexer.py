@@ -107,14 +107,28 @@ class Lexer:
             line += chunk.count("\n")
             line_start = start + chunk.rfind("\n") + 1
 
+        # Lenient mode: quote openers whose scan already failed.  A failed
+        # scan at p means no closer follows p, so every later opener of
+        # that kind fails too (for ``'``, an escaped quote leaves the
+        # backslash pairing exactly as the failed scan saw it); they
+        # become OPERATOR tokens without rescanning, keeping lexing linear.
+        dead = ""
         while pos < length:
+            if dead and text[pos] in dead:
+                yield Token(TokenKind.OPERATOR, text[pos], line, pos - line_start + 1)
+                pos += 1
+                continue
             m = match(text, pos)
             if m is None:
                 ch = text[pos]
-                if self._strict and ch in "'`\"[":
-                    raise SqlLexError(
-                        f"unterminated {ch!r}-quoted region", line, pos - line_start + 1
-                    )
+                if ch in "'`\"[":
+                    if self._strict:
+                        raise SqlLexError(
+                            f"unterminated {ch!r}-quoted region",
+                            line,
+                            pos - line_start + 1,
+                        )
+                    dead += ch
                 if text.startswith("/*", pos):
                     if self._strict:
                         raise SqlLexError(

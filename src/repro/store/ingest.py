@@ -14,19 +14,36 @@ diff, or measure.  Re-ingesting an unchanged corpus therefore performs
 ``report.stats.projects == 0``.
 
 :func:`ingest_corpus` (the funnel's selection) and :func:`ingest_stream`
-(a synthesis stream) run one chunked loop: fingerprint a chunk, read its
-stored fingerprints once, measure the changed projects on the execution
-backend, write them in one ``persist_batch`` transaction, and checkpoint
+(a synthesis stream) run one chunked loop: read a chunk's stored
+fingerprints once, measure its changed projects, write them in one
+``persist_batch`` transaction, and checkpoint
 ``{"version": 1, "source": <identity>, "next_index": n}`` under
-:data:`INGEST_CHECKPOINT_KEY`.  Memory is bounded by the chunk, and a
-crash loses at most one.  The identity is the source's (its kind; for a
-stream also seed, profile, epoch and dialects) plus the config the
-fingerprint hashes, and a re-run under the same identity reports
-``resumed_from``.  A stream resumes at ``next_index`` (project *i* is a
-pure function of the spec and *i*); a corpus restarts at 0 and proves
-the persisted prefix by fingerprint (a provider's repositories can
-change between runs).  Any other record is ignored, which is safe
-because persists are idempotent upserts.
+:data:`INGEST_CHECKPOINT_KEY`.  Who does the rest depends on the source:
+
+- A **stream** chunk is dispatched by name alone
+  (:func:`~repro.synthesis.stream.project_name`): each worker slice
+  gets the stream spec, its indices and the store's fingerprints of
+  those names, then synthesizes, extracts and fingerprints its projects
+  itself, drops the unchanged ones and measures the rest.
+- A **corpus** chunk is fingerprinted in the parent, which holds its
+  repositories already, and only the changed projects are shipped with
+  their extracted histories.  A re-ingest ships nothing.
+
+A run forks one :class:`~repro.pipeline.backends.WorkerPool` (the
+serial executor runs the same slices inline) and keeps exactly one
+chunk in flight ahead: while the parent persists chunk *k*, chunk *k+1*
+is already on the workers.  The pool is closed in a ``finally`` that
+cancels the chunk in flight, so a crash or Ctrl-C leaves no worker
+behind and loses at most the unpersisted chunk and the one in flight;
+the checkpoint, written after each persist, names the first
+unpersisted index.  Memory is bounded by the chunk.  The identity is
+the source's (its kind; for a stream also seed, profile, epoch and
+dialects) plus the config the fingerprint hashes, and a re-run under
+the same identity reports ``resumed_from``.  A stream resumes at
+``next_index`` (project *i* is a pure function of the spec and *i*); a
+corpus restarts at 0 and proves the persisted prefix by fingerprint (a
+provider's repositories can change between runs).  Any other record is
+ignored, which is safe because persists are idempotent upserts.
 
 Under fault injection, or when a batch raises, the chunk is written row
 by row under the ingest's :class:`~repro.resilience.RetryPolicy`; a
@@ -41,7 +58,8 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.heartbeat import DEFAULT_REED_LIMIT
 from repro.mining.funnel import RepoProvider, select_tasks
@@ -50,6 +68,15 @@ from repro.mining.librariesio import LibrariesIoDataset
 from repro.mining.path_filters import MultiFileVerdict
 from repro.mining.selection import SelectionCriteria
 from repro.obs.trace import trace
+from repro.pipeline.backends import (
+    Batch,
+    ProjectMaterial,
+    WorkerChunk,
+    WorkerPool,
+    partition,
+    partition_digest,
+    resolve_executor,
+)
 from repro.pipeline.cache import SchemaCache, text_key
 from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
 from repro.pipeline.stages import (
@@ -66,6 +93,9 @@ from repro.resilience.policy import NO_RETRY, RetryPolicy
 from repro.store.store import CorpusStore
 from repro.vcs.history import FileVersion, LinearizationPolicy, extract_file_history
 from repro.vcs.repository import Repository
+
+if TYPE_CHECKING:  # imported late below: serving never loads the synthesizer
+    from repro.synthesis.stream import StreamSpec
 
 #: Fingerprint of a repository the provider no longer resolves.
 MISSING_REPO_FINGERPRINT = "missing-repo"
@@ -232,63 +262,118 @@ def _persist_resiliently(
 
 
 def _fingerprint(
-    tasks: list[ProjectTask], provider: RepoProvider, config: PipelineConfig
-) -> tuple[SeedMap, dict[str, str]]:
-    """Every task's fingerprint, plus the extracted history (seed) of each
-    task whose provider answered; one that raised gets no seed."""
-    seeds: SeedMap = {}
-    fingerprints: dict[str, str] = {}
-    for task in tasks:
-        try:
-            repo = provider(task.repo_name)
-            versions = (
-                usable_versions(
-                    extract_file_history(repo, task.ddl_path, policy=config.policy)
-                )
-                if repo is not None
-                else []
-            )
-            fingerprint = history_fingerprint(task, repo, versions, config)
-        except Exception:
-            fingerprints[task.repo_name] = MISSING_REPO_FINGERPRINT
-            continue
-        fingerprints[task.repo_name] = fingerprint
-        seeds[task.repo_name] = (repo, versions)
-    return seeds, fingerprints
-
-
-def _measure(
     tasks: list[ProjectTask],
-    seeds: SeedMap,
     provider: RepoProvider,
     config: PipelineConfig,
-    cache: SchemaCache | None,
-    stats: PipelineStats,
-) -> list[ProjectContext]:
-    """Measure *tasks* on the configured backend, results in task order.
+    stored_of: Callable[[list[str]], dict[str, str]],
+    first: int,
+) -> tuple[list[ProjectMaterial], dict[str, str], list[tuple[int, ProjectTask]]]:
+    """Fingerprint *tasks* (numbered from *first*) against *stored_of*
+    their names.
 
-    Seeded tasks replay their fingerprinted histories (the process
-    backend ships those to its workers); an unseeded task reruns its
-    provider crash in the extract stage, which records it as a
-    :class:`~repro.pipeline.stages.ProjectFailure` like any other.
+    Returns the changed projects as materials carrying their extracted
+    histories, every task's fingerprint by name, and the tasks whose
+    provider or extraction raised: those have no history to carry and
+    go through the pipeline's own extract stage, which records the
+    crash as a :class:`~repro.pipeline.stages.ProjectFailure`.
     """
-    if not tasks:
-        return []
-    if cache is None:
-        # A fresh in-memory cache per chunk keeps the parse/diff cache
-        # from growing with the corpus; a cache_dir still shares.
-        cache = SchemaCache(config.cache_dir, registry=stats.registry)
-    contexts: dict[str, ProjectContext] = {}
-    for seeded in (True, False):
-        batch = [task for task in tasks if (task.repo_name in seeds) is seeded]
-        if batch:
-            pipeline = MeasurementPipeline(
-                provider, config, cache, seeds=seeds if seeded else None
-            )
-            pipeline.stats = stats
-            for task, ctx in zip(batch, pipeline.run(batch)):
-                contexts[task.repo_name] = ctx
-    return [contexts[task.repo_name] for task in tasks]
+    with trace("ingest.fingerprint", tasks=len(tasks)) as span:
+        seeds: SeedMap = {}
+        fingerprints: dict[str, str] = {}
+        for task in tasks:
+            try:
+                repo = provider(task.repo_name)
+                versions = (
+                    usable_versions(
+                        extract_file_history(repo, task.ddl_path, policy=config.policy)
+                    )
+                    if repo is not None
+                    else []
+                )
+                fingerprint = history_fingerprint(task, repo, versions, config)
+            except Exception:
+                fingerprints[task.repo_name] = MISSING_REPO_FINGERPRINT
+                continue
+            fingerprints[task.repo_name] = fingerprint
+            seeds[task.repo_name] = (repo, versions)
+        stored = stored_of(list(fingerprints))
+        changed: list[ProjectMaterial] = []
+        crashed: list[tuple[int, ProjectTask]] = []
+        for index, task in enumerate(tasks, first):
+            name = task.repo_name
+            if name not in seeds:
+                crashed.append((index, task))
+            elif stored.get(name) != fingerprints[name]:
+                repo, versions = seeds[name]
+                changed.append(ProjectMaterial(index, task, repo, tuple(versions)))
+        if span is not None:
+            span.attrs["changed"] = len(changed) + len(crashed)
+    return changed, fingerprints, crashed
+
+
+def _lookup(store: CorpusStore, names: list[str]) -> dict[str, str]:
+    """One chunk's stored fingerprints, in one read."""
+    with trace("ingest.lookup", names=len(names)):
+        return store.fingerprints(names)
+
+
+@dataclass(frozen=True)
+class _StreamSlice:
+    """Stream projects ``start .. stop`` and the store's fingerprints of
+    their names: all a worker needs to synthesize, fingerprint and
+    measure them on its own (a
+    :class:`~repro.pipeline.backends.MaterialSource`)."""
+
+    spec: StreamSpec
+    start: int
+    stop: int
+    stored: dict[str, str]
+
+    def resolve(
+        self, config: PipelineConfig
+    ) -> tuple[list[ProjectMaterial], dict[str, str]]:
+        from repro.synthesis.stream import stream_projects
+
+        with trace("ingest.source", start=self.start, stop=self.stop):
+            projects = list(stream_projects(self.spec, self.start, self.stop))
+        repos = {p.name: p.repo for p in projects}
+        tasks = [
+            ProjectTask(p.name, p.ddl_path, p.plan.domain, dialect=p.dialect)
+            for p in projects
+        ]
+        changed, fingerprints, crashed = _fingerprint(
+            tasks, repos.get, config, lambda _: self.stored, self.start
+        )
+        changed += [
+            ProjectMaterial(index, task, repos[task.repo_name])
+            for index, task in crashed
+        ]
+        return changed, fingerprints
+
+
+#: What a source makes of one chunk: the digest keys and bounds of its
+#: slices, the slices, the fingerprints the parent computed, and the
+#: contexts the parent measured itself.
+_Dispatch = tuple[
+    list[ProjectTask] | list[str],
+    list[tuple[int, int]],
+    list[WorkerChunk],
+    dict[str, str],
+    list[tuple[int, ProjectContext]],
+]
+
+
+@dataclass
+class _InFlight:
+    """One chunk between its dispatch and its persist."""
+
+    start: int
+    stop: int
+    sent_at: float
+    batch: Batch
+    cache: SchemaCache  # for slices the parent runs inline
+    fingerprints: dict[str, str]
+    done: list[tuple[int, ProjectContext]]
 
 
 def _persist(
@@ -317,7 +402,7 @@ def _ingest(
     store: CorpusStore,
     report: IngestReport,
     source: dict,
-    chunk_of: Callable[[int, int], tuple[list[ProjectTask], RepoProvider]],
+    dispatch: Callable[[int, int, SchemaCache, int], _Dispatch],
     config: PipelineConfig,
     cache: SchemaCache | None,
     chunk_size: int | None,
@@ -327,8 +412,8 @@ def _ingest(
 ) -> IngestReport:
     """The chunked loop behind both entry points, over ``report.tasks`` tasks.
 
-    ``chunk_of(start, stop)`` returns the tasks at those indices and the
-    provider of their repositories; *source* (``kind`` and the source's
+    ``dispatch(start, stop, cache, jobs)`` turns the tasks at those
+    indices into worker slices; *source* (``kind`` and the source's
     parameters) enters the checkpoint identity.  Only a source that
     *resumes* restarts at the checkpoint's index.  *keep* prunes every
     stored project it does not name.
@@ -363,34 +448,70 @@ def _ingest(
         jobs=max(1, config.jobs), cache=cache.counters if cache is not None else None
     )
     chunk = chunk_size if chunk_size is not None else max(8, config.jobs * 4)
+    backend = resolve_executor(config.executor, config.jobs)
+    jobs = max(1, config.jobs) if backend == "process" else 1
+
+    def send(chunk_start: int, chunk_stop: int) -> _InFlight:
+        sent_at = time.perf_counter()
+        # A fresh in-memory cache per chunk keeps the parse/diff cache
+        # from growing with the corpus; a cache_dir still shares.
+        chunk_cache = (
+            cache if cache is not None
+            else SchemaCache(config.cache_dir, registry=stats.registry)
+        )
+        keys, bounds, work, fingerprints, done = dispatch(
+            chunk_start, chunk_stop, chunk_cache, jobs
+        )
+        if bounds:
+            stats.note_partition(
+                digest=partition_digest(keys, bounds, backend),
+                chunks=len(bounds),
+                backend=backend,
+            )
+        return _InFlight(
+            chunk_start, chunk_stop, sent_at, pool.submit(work), chunk_cache,
+            fingerprints, done,
+        )
+
+    def land(flight: _InFlight) -> None:
+        with trace("ingest.measure", start=flight.start, stop=flight.stop) as span:
+            measured, fingerprints = pool.results(flight.batch, flight.cache)
+            contexts = [
+                ctx for _, ctx in sorted(flight.done + measured, key=lambda m: m[0])
+            ]
+            if span is not None:
+                span.attrs["measured"] = len(contexts)
+        failed = sum(1 for ctx in contexts if ctx.outcome is Outcome.FAILED)
+        stats.note_run(
+            projects=len(contexts),
+            completed=len(contexts) - failed,
+            failures=failed,
+            wall_seconds=time.perf_counter() - flight.sent_at,
+        )
+        fingerprints.update(flight.fingerprints)
+        _persist(
+            store,
+            [(ctx, fingerprints[ctx.task.repo_name]) for ctx in contexts],
+            config,
+            stats,
+        )
+        report.measured += len(contexts)
+        report.skipped_unchanged += flight.stop - flight.start - len(contexts)
+        checkpoint(flight.stop)
+
     with trace(
         "ingest.run", source=identity["kind"], count=count, start=start, chunk=chunk
-    ):
+    ), WorkerPool(jobs, stats.registry) as pool:
+        # One chunk in flight ahead: chunk k+1 is on the workers while
+        # the parent persists chunk k.
+        ahead: _InFlight | None = None
         for chunk_start in range(start, count, chunk):
-            chunk_stop = min(chunk_start + chunk, count)
-            with trace("ingest.source", start=chunk_start, stop=chunk_stop):
-                tasks, provider = chunk_of(chunk_start, chunk_stop)
-            with trace("ingest.fingerprint", tasks=len(tasks)) as span:
-                seeds, fingerprints = _fingerprint(tasks, provider, config)
-                stored = store.fingerprints(list(fingerprints))
-                changed = [
-                    task
-                    for task in tasks
-                    if task.repo_name not in seeds
-                    or stored.get(task.repo_name) != fingerprints[task.repo_name]
-                ]
-                if span is not None:
-                    span.attrs["changed"] = len(changed)
-            contexts = _measure(changed, seeds, provider, config, cache, stats)
-            _persist(
-                store,
-                [(ctx, fingerprints[ctx.task.repo_name]) for ctx in contexts],
-                config,
-                stats,
-            )
-            report.measured += len(contexts)
-            report.skipped_unchanged += len(tasks) - len(changed)
-            checkpoint(chunk_stop)
+            sent = send(chunk_start, min(chunk_start + chunk, count))
+            if ahead is not None:
+                land(ahead)
+            ahead = sent
+        if ahead is not None:
+            land(ahead)
         if keep is not None:
             with trace("ingest.prune"):
                 report.pruned = store.prune_missing(keep)
@@ -443,7 +564,8 @@ def ingest_corpus(
     parameterize the measurement pipeline exactly as in ``run_funnel``;
     ``retry`` also governs the row-by-row persist fallback.  Chunks hold
     ``chunk_size`` projects (default ``max(8, jobs * 4)``), so a crash
-    loses at most one; the re-run reports ``resumed_from == "corpus"``.
+    loses at most the chunk being written and the one in flight; the
+    re-run reports ``resumed_from == "corpus"``.
     """
     started = time.perf_counter()
     joined, tasks, omitted = select_tasks(activity, lib_io, criteria, dialects)
@@ -458,11 +580,30 @@ def ingest_corpus(
         retry=retry, project_deadline=project_deadline, injector=injector,
         executor=executor,
     )
+
+    def dispatch(start: int, stop: int, cache: SchemaCache, jobs: int) -> _Dispatch:
+        with trace("ingest.source", start=start, stop=stop):
+            chunk = tasks[start:stop]
+        changed, fingerprints, crashed = _fingerprint(
+            chunk, provider, config, partial(_lookup, store), start
+        )
+        # A provider that raised reruns here, where the provider lives.
+        done = [
+            (index, MeasurementPipeline(provider, config, cache).run_project(task))
+            for index, task in crashed
+        ]
+        bounds = partition(len(changed), jobs)
+        work = [
+            WorkerChunk(slice_id, config, tuple(changed[a:b]))
+            for slice_id, (a, b) in enumerate(bounds)
+        ]
+        return [m.task for m in changed], bounds, work, fingerprints, done
+
     return _ingest(
         store,
         IngestReport(selected=joined, tasks=len(tasks), omitted_by_paths=omitted),
         {"kind": "corpus"},
-        lambda start, stop: (tasks[start:stop], provider),
+        dispatch,
         config,
         cache,
         chunk_size,
@@ -473,7 +614,7 @@ def ingest_corpus(
 
 def ingest_stream(
     store: CorpusStore,
-    spec,
+    spec: StreamSpec,
     *,
     policy: LinearizationPolicy = LinearizationPolicy.FULL,
     reed_limit: int = DEFAULT_REED_LIMIT,
@@ -499,7 +640,7 @@ def ingest_stream(
     (per-project seeds make any suffix of the stream reproducible), and
     reports ``resumed_from == "stream"`` and ``stream_resumed_at``.
     """
-    from repro.synthesis.stream import stream_projects  # cycle-free late import
+    from repro.synthesis.stream import project_name
 
     started = time.perf_counter()
     store.record_funnel_front(
@@ -514,13 +655,24 @@ def ingest_stream(
         executor=executor,
     )
 
-    def chunk_of(start: int, stop: int) -> tuple[list[ProjectTask], RepoProvider]:
-        projects = list(stream_projects(spec, start, stop))
-        tasks = [
-            ProjectTask(p.name, p.ddl_path, p.plan.domain, dialect=p.dialect)
-            for p in projects
+    def dispatch(start: int, stop: int, cache: SchemaCache, jobs: int) -> _Dispatch:
+        names = [project_name(spec, index) for index in range(start, stop)]
+        stored = _lookup(store, names)
+        bounds = partition(len(names), jobs)
+        work = [
+            WorkerChunk(
+                slice_id,
+                config,
+                source=_StreamSlice(
+                    spec,
+                    start + a,
+                    start + b,
+                    {name: stored[name] for name in names[a:b] if name in stored},
+                ),
+            )
+            for slice_id, (a, b) in enumerate(bounds)
         ]
-        return tasks, {p.name: p.repo for p in projects}.get
+        return names, bounds, work, {}, []
 
     return _ingest(
         store,
@@ -532,7 +684,7 @@ def ingest_stream(
             "epoch_start": spec.epoch_start,
             "dialects": list(spec.dialects),
         },
-        chunk_of,
+        dispatch,
         config,
         cache,
         chunk_size,

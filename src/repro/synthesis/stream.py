@@ -233,13 +233,12 @@ def _pick_archetype(
     return rng.choices(choices, weights=weights, k=1)[0]
 
 
-def synthesize_project(spec: StreamSpec, index: int) -> StreamedProject:
-    """Generate project *index* of the stream, from scratch.
-
-    Everything — archetype choice, name, plan, DDL text, metadata —
-    draws from one fresh ``Random(project_seed(spec.seed, index))``, so
-    the result depends only on ``(spec, index)``.
-    """
+def _named(
+    spec: StreamSpec, index: int
+) -> tuple[random.Random, str, TaxonArchetype, str]:
+    """The draws that name project *index*: its RNG after them, its
+    dialect, archetype and name.  The one prefix shared by
+    :func:`synthesize_project` and :func:`project_name`."""
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     rng = random.Random(project_seed(spec.seed, index))
@@ -254,7 +253,23 @@ def synthesize_project(spec: StreamSpec, index: int) -> StreamedProject:
     forge = NameForge(rng)
     # The forge guarantees uniqueness only within one RNG; the index
     # suffix makes names globally unique across the whole stream.
-    name = f"{forge.project_name(set())}-{index}"
+    return rng, dialect, archetype, f"{forge.project_name(set())}-{index}"
+
+
+def project_name(spec: StreamSpec, index: int) -> str:
+    """The name of project *index*, without synthesizing the project:
+    what ingest reads a chunk's stored fingerprints by."""
+    return _named(spec, index)[3]
+
+
+def synthesize_project(spec: StreamSpec, index: int) -> StreamedProject:
+    """Generate project *index* of the stream, from scratch.
+
+    Everything — archetype choice, name, plan, DDL text, metadata —
+    draws from one fresh ``Random(project_seed(spec.seed, index))``, so
+    the result depends only on ``(spec, index)``.
+    """
+    rng, dialect, archetype, name = _named(spec, index)
     plan = plan_project(rng, archetype, name, epoch_start=spec.epoch_start)
     repo, ddl_path = realize_project(plan, rng)
     stars = max(1, int(rng.paretovariate(1.2)))

@@ -12,11 +12,14 @@ task partition is deterministic and recorded.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro.io.export import funnel_payload
+from repro.mining.funnel import select_tasks
+from repro.mining.selection import SelectionCriteria
 from repro.obs import recording
 from repro.pipeline import (
     EXECUTORS,
@@ -31,7 +34,9 @@ from repro.pipeline import (
 from repro.pipeline.backends import partition, partition_digest
 from repro.pipeline.stages import ProjectTask
 from repro.resilience import FaultInjector, RetryPolicy
+from repro.store import CorpusStore, ingest_corpus, ingest_stream
 from repro.synthesis import CorpusSpec, build_corpus
+from repro.synthesis.stream import StreamSpec, materialize_stream
 from repro.vcs.repository import Repository
 
 BACKENDS = ("serial", "process")
@@ -45,6 +50,13 @@ def small_corpus():
 
 def _tasks(names: list[str]) -> list[ProjectTask]:
     return [ProjectTask(name, "schema.sql") for name in names]
+
+
+class PoisonRepo(Repository):
+    """Unpickling this in a worker kills the worker process."""
+
+    def __reduce__(self):
+        return (os._exit, (17,))
 
 
 def _repo(name: str, versions: int = 3) -> Repository:
@@ -213,12 +225,6 @@ class TestObservabilityRelay:
 
 class TestProcessBackendResilience:
     def test_worker_death_degrades_to_executor_failures(self):
-        class PoisonRepo(Repository):
-            """Unpickling this in a worker kills the worker process."""
-
-            def __reduce__(self):
-                return (os._exit, (17,))
-
         repos = {
             "ok/alpha": _repo("ok/alpha"),
             "bad/boom": PoisonRepo("bad/boom"),
@@ -346,3 +352,86 @@ class TestIngestThroughProcessBackend:
                 assert report.measured > 0
                 hashes[executor] = store.content_hash()
         assert hashes["serial"] == hashes["process"]
+
+
+class TestOnePoolPerIngestRun:
+    """An ingest run forks one worker pool, whatever its chunk count,
+    and leaves no worker behind when it returns or raises."""
+
+    SPEC = StreamSpec(seed=3, count=13)
+    KNOBS = dict(jobs=2, executor="process", chunk_size=4)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        from repro.pipeline import backends
+
+        opened = []
+
+        class CountingPool(backends.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", CountingPool)
+        return opened
+
+    def test_stream_and_corpus_runs_open_one_pool_each(self, tmp_path, pools):
+        with CorpusStore(tmp_path / "stream.db") as store:
+            assert ingest_stream(store, self.SPEC, **self.KNOBS).measured == 13
+            assert pools == [2]  # four chunks, one pool
+            assert multiprocessing.active_children() == []
+            again = ingest_stream(store, self.SPEC, **self.KNOBS)
+            assert again.measured == 0
+            assert multiprocessing.active_children() == []
+        pools.clear()
+        corpus = materialize_stream(self.SPEC)
+        with CorpusStore(tmp_path / "corpus.db") as store:
+            report = ingest_corpus(
+                store, corpus.activity, corpus.lib_io, corpus.provider, **self.KNOBS
+            )
+            assert report.measured == 13
+            assert pools == [2]
+            assert multiprocessing.active_children() == []
+
+    def test_a_raising_persist_leaves_no_worker_running(self, tmp_path, monkeypatch):
+        with CorpusStore(tmp_path / "killed.db") as store:
+            original = store.persist_batch
+            durable = []
+
+            def dying_persist(items, ids=None):
+                if len(durable) >= 2:
+                    raise RuntimeError("killed")
+                durable.append(len(items))
+                return original(items, ids)
+
+            monkeypatch.setattr(store, "persist_batch", dying_persist)
+            with pytest.raises(RuntimeError, match="killed"):
+                ingest_stream(store, self.SPEC, **self.KNOBS)
+            assert multiprocessing.active_children() == []
+            assert store.project_count() == 8
+
+    def test_worker_death_mid_ingest_demotes_only_the_killer(self, tmp_path):
+        spec = StreamSpec(seed=3, count=6)
+        corpus = materialize_stream(spec)
+        _, tasks, _ = select_tasks(
+            corpus.activity, corpus.lib_io, SelectionCriteria(), ("mysql",)
+        )
+        names = [task.repo_name for task in tasks]
+        killer = names[2]  # the middle one of three two-project chunks
+        poison = PoisonRepo(killer)
+        poison.__dict__.update(corpus.repos[killer].__dict__)
+        repos = {**corpus.repos, killer: poison}
+        with CorpusStore(tmp_path / "poisoned.db") as store:
+            report = ingest_corpus(
+                store, corpus.activity, corpus.lib_io, repos.get,
+                jobs=2, executor="process", chunk_size=2,
+            )
+            assert report.measured == 6
+            assert multiprocessing.active_children() == []
+            (failure,) = store.failures()
+            assert failure.project == killer
+            assert failure.stage == "executor"
+            assert failure.error == "BrokenProcessPool"
+            for name in names:
+                stored = store.get_project(name)
+                assert (stored.outcome == Outcome.FAILED.value) == (name == killer)

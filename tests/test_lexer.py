@@ -1,5 +1,7 @@
 """Tests for the SQL lexer."""
 
+import time
+
 import pytest
 
 from repro.sqlddl import Token, TokenKind, tokenize
@@ -224,3 +226,70 @@ class TestRealWorldDumpFragments:
             TokenKind.LPAREN,
             TokenKind.QUOTED_IDENT,
         ]
+
+
+class TestLenientUnterminatedOpeners:
+    """An opener with no closer degrades to an OPERATOR token, and so
+    does every later opener of its kind, in one pass over the text."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "'\\'\\",
+                [
+                    ("OPERATOR", "'"), ("OPERATOR", "\\"),
+                    ("OPERATOR", "'"), ("OPERATOR", "\\"),
+                ],
+            ),
+            (
+                "[a [b",
+                [("OPERATOR", "["), ("WORD", "a"), ("OPERATOR", "["), ("WORD", "b")],
+            ),
+            (
+                "x 'it\\'s [y",
+                [
+                    ("WORD", "x"), ("OPERATOR", "'"), ("WORD", "it"), ("OPERATOR", "\\"),
+                    ("OPERATOR", "'"), ("WORD", "s"), ("OPERATOR", "["), ("WORD", "y"),
+                ],
+            ),
+            (
+                "`a \"b 'c [d",
+                [
+                    ("OPERATOR", "`"), ("WORD", "a"), ("OPERATOR", '"'), ("WORD", "b"),
+                    ("OPERATOR", "'"), ("WORD", "c"), ("OPERATOR", "["), ("WORD", "d"),
+                ],
+            ),
+            (
+                "a 'b' 'c",
+                [("WORD", "a"), ("STRING", "b"), ("OPERATOR", "'"), ("WORD", "c")],
+            ),
+            (
+                "['[x",
+                [("OPERATOR", "["), ("OPERATOR", "'"), ("OPERATOR", "["), ("WORD", "x")],
+            ),
+        ],
+    )
+    def test_hostile_token_lists_are_pinned(self, text, expected):
+        tokens = tokenize(text, strict=False)
+        assert [(t.kind.name, t.value) for t in tokens[:-1]] == expected
+        assert tokens[-1].kind is TokenKind.EOF
+
+    def test_strict_mode_raises_at_the_first_unterminated_opener(self):
+        with pytest.raises(SqlLexError, match="unterminated \"'\"") as raised:
+            tokenize("a [b] 'c [d", strict=True)
+        assert raised.value.column == 7
+
+    @pytest.mark.parametrize("unit", ["'\\", "[a ", "`a ", '"a '])
+    def test_lexing_time_is_linear_in_hostile_input(self, unit):
+        def best_of_three(n: int) -> float:
+            text = unit * n
+            times = []
+            for _ in range(3):
+                started = time.perf_counter()
+                tokenize(text, strict=False)
+                times.append(time.perf_counter() - started)
+            return min(times)
+
+        # Linear is about 4; rescanning to EOF from every opener was ~16.
+        assert best_of_three(8000) / best_of_three(2000) < 8

@@ -29,12 +29,16 @@ from repro.synthesis.stream import (
     StreamSpec,
     materialize_stream,
     profile_archetypes,
+    project_name,
     project_seed,
     stream_projects,
     synthesize_project,
 )
 
 SPEC = StreamSpec(seed=2019, count=24, profile="light")
+
+#: ``(executor, jobs)`` pairs: the serial reference and the worker pool.
+EXECUTORS = {"serial": 1, "process": 2}
 
 
 class TestStreamDeterminism:
@@ -64,6 +68,12 @@ class TestStreamDeterminism:
         assert project_seed(2019, 0) == project_seed(2019, 0)
         assert len({project_seed(2019, index) for index in range(500)}) == 500
         assert project_seed(2019, 3) != project_seed(2020, 3)
+
+    def test_project_name_is_the_synthesized_name(self):
+        mixed = StreamSpec(seed=7, count=12, dialects=("mysql", "postgresql", "sqlite"))
+        for spec in (SPEC, mixed):
+            for index in range(spec.count):
+                assert project_name(spec, index) == synthesize_project(spec, index).name
 
     def test_names_are_globally_unique(self):
         names = [p.name for p in stream_projects(SPEC)]
@@ -99,29 +109,31 @@ class TestByteIdentity:
         spec = StreamSpec(seed=3, count=13)
         corpus = materialize_stream(spec)
         hashes, id_rows = set(), {}
-        for source in ("stream", "corpus"):
-            for shards in (1, 3):
-                for chunk in (1, 4, 13, 50):
-                    path = tmp_path / f"{source}-{shards}-{chunk}.db"
-                    store = (
-                        CorpusStore(path) if shards == 1
-                        else ShardedCorpusStore(path, shards=shards)
-                    )
-                    with store:
-                        if source == "stream":
-                            ingest_stream(store, spec, chunk_size=chunk)
-                        else:
-                            ingest_corpus(
-                                store, corpus.activity, corpus.lib_io,
-                                corpus.provider, chunk_size=chunk,
-                            )
-                        hashes.add(store.content_hash())
-                        projects = store.query_projects().projects
-                        id_rows.setdefault(source, set()).add(
-                            tuple((p.id, p.name) for p in projects)
+        for executor, jobs in EXECUTORS.items():
+            for source in ("stream", "corpus"):
+                for shards in (1, 3):
+                    for chunk in (1, 4, 13, 50):
+                        path = tmp_path / f"{executor}-{source}-{shards}-{chunk}.db"
+                        store = (
+                            CorpusStore(path) if shards == 1
+                            else ShardedCorpusStore(path, shards=shards)
                         )
+                        knobs = dict(chunk_size=chunk, jobs=jobs, executor=executor)
+                        with store:
+                            if source == "stream":
+                                ingest_stream(store, spec, **knobs)
+                            else:
+                                ingest_corpus(
+                                    store, corpus.activity, corpus.lib_io,
+                                    corpus.provider, **knobs,
+                                )
+                            hashes.add(store.content_hash())
+                            projects = store.query_projects().projects
+                            id_rows.setdefault(source, set()).add(
+                                tuple((p.id, p.name) for p in projects)
+                            )
         assert len(hashes) == 1
-        # Row ids depend on neither the chunk size nor the layout.
+        # Row ids depend on neither the executor, the chunk size nor the layout.
         assert all(len(rows) == 1 for rows in id_rows.values())
 
     def test_sharded_matches_unsharded(self, tmp_path):
@@ -151,24 +163,29 @@ def _stream_record(spec, next_index, seed=None):
 
 
 class TestResume:
-    def test_reingest_measures_nothing(self, tmp_path):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_reingest_measures_nothing(self, tmp_path, executor):
+        knobs = dict(chunk_size=8, jobs=EXECUTORS[executor], executor=executor)
         with CorpusStore(tmp_path / "twice.db") as store:
-            ingest_stream(store, SPEC, chunk_size=8)
+            ingest_stream(store, SPEC, **knobs)
             first_hash = store.content_hash()
-            report = ingest_stream(store, SPEC, chunk_size=8)
+            report = ingest_stream(store, SPEC, **knobs)
             assert report.measured == 0
+            assert report.stats.projects == 0
             assert report.skipped_unchanged == SPEC.count
             assert store.content_hash() == first_hash
 
-    def test_resume_mid_stream_from_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_resume_mid_stream_from_checkpoint(self, tmp_path, executor):
         spec = StreamSpec(seed=5, count=12)
+        knobs = dict(chunk_size=4, jobs=EXECUTORS[executor], executor=executor)
         with CorpusStore(tmp_path / "resume.db") as store:
             # First 7 projects land exactly as a crashed 12-project run
             # would have left them (names and seeds depend only on the
             # index, never on the count), then the crash's checkpoint.
-            ingest_stream(store, StreamSpec(seed=5, count=7), chunk_size=4)
+            ingest_stream(store, StreamSpec(seed=5, count=7), **knobs)
             store.set_meta(INGEST_CHECKPOINT_KEY, _stream_record(spec, next_index=7))
-            report = ingest_stream(store, spec, chunk_size=4)
+            report = ingest_stream(store, spec, **knobs)
             assert report.resumed_from == "stream"
             assert report.stream_resumed_at == 7
             assert report.measured == spec.count - 7
@@ -275,13 +292,17 @@ class TestOneEngine:
 
 
 class TestBoundedMemory:
-    def test_python_peak_tracks_chunk_size_not_count(self, tmp_path):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_python_peak_tracks_chunk_size_not_count(self, tmp_path, executor):
         def peak(count: int) -> int:
             spec = StreamSpec(seed=13, count=count)
             with CorpusStore(tmp_path / f"mem{count}.db") as store:
                 tracemalloc.start()
                 try:
-                    ingest_stream(store, spec, chunk_size=10)
+                    ingest_stream(
+                        store, spec, chunk_size=10,
+                        jobs=EXECUTORS[executor], executor=executor,
+                    )
                     _, peak_bytes = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
