@@ -12,13 +12,18 @@ their inputs, so both memoize safely under content hashes:
 Identical blobs are rampant in real histories — a commit touching the
 DDL file without changing it, vendor files copied across projects, and
 whole corpora re-run after an unrelated code change — so the cache turns
-the dominant cost of a re-run into dictionary lookups.
+the dominant cost of a re-run into dictionary lookups.  Below the blob
+level, consecutive versions of one history repeat most of their
+statements: the cache also owns the lenient parse's statement memo
+(:data:`~repro.sqlddl.parser.StatementMemo`), so a statement text is
+lexed and parsed once per cache, whichever blob it comes back in.
 
 An optional on-disk layer (``cache_dir``) persists both maps as pickles
 keyed by content hash; a warm re-run of the same corpus then performs
 zero ``build_schema`` calls, which the :class:`CacheCounters` expose for
 verification.  All methods are thread-safe: the parallel pipeline shares
-one cache across workers.
+one cache across workers (the statement memo takes plain dict reads and
+writes of immutable values).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.obs.trace import trace
 from repro.schema.builder import build_schema
 from repro.schema.model import Schema
 from repro.sqlddl.ast import CreateTable
-from repro.sqlddl.parser import parse_script
+from repro.sqlddl.parser import StatementMemo, parse_script
 
 #: The cached functions the counters are split by.
 CACHE_KINDS = ("schema", "diff", "scan")
@@ -144,7 +149,10 @@ class SchemaCache:
 
     With ``cache_dir`` set, every miss is also persisted to disk
     (``<dir>/schemas/<key>.pkl`` and ``<dir>/diffs/<key>.pkl``) and
-    future processes warm-start from there.
+    future processes warm-start from there.  The statement memo that
+    :meth:`schema_for` and :meth:`has_create_table` share lives as long
+    as the cache (one funnel run, one ingest worker slice) and never
+    touches disk.
     """
 
     def __init__(
@@ -154,6 +162,7 @@ class SchemaCache:
     ) -> None:
         self._lock = threading.Lock()
         self._schemas: dict[str, Schema] = {}
+        self._statements: StatementMemo = {}
         self._scans: dict[str, bool] = {}
         self._diffs: dict[tuple[str, str], TransitionDiff] = {}
         self._schema_keys: dict[int, str] = {}  # id(schema) -> canonical key
@@ -190,7 +199,9 @@ class SchemaCache:
             # The span makes warm runs provable from the trace alone:
             # zero `build_schema` spans == zero parses happened.
             with trace("build_schema", key=key[:12]):
-                schema = build_schema(text, lenient=lenient, dialect=dialect)
+                schema = build_schema(
+                    text, lenient=lenient, dialect=dialect, memo=self._statements
+                )
             self._store_pickle("schemas", key, schema)
             disk_hit = False
         else:
@@ -219,7 +230,10 @@ class SchemaCache:
         disk_hit = verdict is not None
         if not disk_hit:
             with trace("scan_create_table", key=key[:12]):
-                verdict = any(isinstance(s, CreateTable) for s in parse_script(text))
+                verdict = any(
+                    isinstance(s, CreateTable)
+                    for s in parse_script(text, memo=self._statements)
+                )
             self._store_pickle("scans", key, verdict)
         with self._lock:
             self._scans[key] = verdict

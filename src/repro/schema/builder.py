@@ -25,7 +25,7 @@ from repro.sqlddl.ast import (
     RenameTable,
     Statement,
 )
-from repro.sqlddl.parser import parse_script
+from repro.sqlddl.parser import StatementMemo, parse_script
 
 
 class SchemaBuildError(Exception):
@@ -70,99 +70,138 @@ def _table_from_create(create: CreateTable, lenient: bool = True) -> Table:
     )
 
 
-def _apply_alter(schema: Schema, alter: AlterTable, lenient: bool) -> Schema:
-    table = schema.table(alter.name)
-    if table is None:
+class _WorkingTable:
+    """A table under replay: attributes edited in place, frozen once.
+
+    ``slots`` keeps attribute order (a dropped column leaves ``None``)
+    and ``positions`` maps each lower-cased name to its slot, so a
+    column edit costs O(1), plus a primary-key scan when it drops or
+    renames a column.
+    """
+
+    __slots__ = ("name", "slots", "positions", "primary_key")
+
+    def __init__(self, table: Table) -> None:
+        self.name = table.name
+        self.slots: list[Attribute | None] = list(table.attributes)
+        self.positions = {a.key: i for i, a in enumerate(table.attributes)}
+        self.primary_key = list(table.primary_key)
+
+    def attribute(self, name: str) -> Attribute | None:
+        position = self.positions.get(name.lower())
+        return None if position is None else self.slots[position]
+
+    def replace(self, old: Attribute, new: Attribute) -> None:
+        """Put *new* in *old*'s position."""
+        position = self.positions.pop(old.key)
+        self.slots[position] = new
+        self.positions[new.key] = position
+
+    def freeze(self) -> Table:
+        attributes = tuple(a for a in self.slots if a is not None)
+        return Table(self.name, attributes, tuple(self.primary_key))
+
+
+#: Tables by lower-cased name, in schema order: assigning an existing
+#: key replaces in place, a new key appends.
+_Tables = dict[str, Table | _WorkingTable]
+
+
+def _working(tables: _Tables, key: str) -> _WorkingTable:
+    entry = tables[key]
+    if isinstance(entry, Table):
+        entry = tables[key] = _WorkingTable(entry)
+    return entry
+
+
+def _rename_table(tables: _Tables, old: str, new: str, lenient: bool) -> bool:
+    """Move existing table *old* to the end as *new*; False if skipped."""
+    key, new_key = old.lower(), new.lower()
+    if new_key != key and new_key in tables:
         if lenient:
-            return schema
+            return False  # MySQL rejects a rename onto a taken name
+        raise SchemaBuildError(f"table {new!r} already exists")
+    table = _working(tables, key)
+    del tables[key]
+    table.name = new
+    tables[new_key] = table
+    return True
+
+
+def _apply_alter(tables: _Tables, alter: AlterTable, lenient: bool) -> None:
+    key = alter.name.lower()
+    if key not in tables:
+        if lenient:
+            return
         raise SchemaBuildError(f"ALTER TABLE on unknown table {alter.name!r}")
+    table = _working(tables, key)
     for action in alter.actions:
-        result = _apply_alter_action(schema, table, action, lenient)
-        if result is None:
-            continue
-        schema, table = result
-        if table is None:  # table was renamed away; remaining actions no-op
-            break
-    return schema
+        if action.kind is AlterKind.RENAME_TABLE and action.raw:
+            if _rename_table(tables, alter.name, action.raw, lenient):
+                break  # the table was renamed away; remaining actions no-op
+        else:
+            _apply_alter_action(table, action, lenient)
 
 
-def _apply_alter_action(
-    schema: Schema, table: Table, action: AlterAction, lenient: bool
-) -> tuple[Schema, Table | None] | None:
+def _apply_alter_action(table: _WorkingTable, action: AlterAction, lenient: bool) -> None:
     kind = action.kind
     if kind is AlterKind.ADD_COLUMN and action.column is not None:
         if table.attribute(action.column.name) is not None:
             if lenient:
-                return None
+                return
             raise SchemaBuildError(
                 f"column {action.column.name!r} already exists in {table.name!r}"
             )
-        new_attrs = table.attributes + (_attribute_from_column(action.column),)
-        pk = table.primary_key
+        attribute = _attribute_from_column(action.column)
+        table.positions[attribute.key] = len(table.slots)
+        table.slots.append(attribute)
         if action.column.is_primary_key:
-            pk = pk + (action.column.name,)
-        new_table = Table(table.name, new_attrs, pk)
-        return schema.replace_table(new_table), new_table
-    if kind is AlterKind.DROP_COLUMN and action.old_name is not None:
-        if table.attribute(action.old_name) is None:
-            if lenient:
-                return None
-            raise SchemaBuildError(f"unknown column {action.old_name!r} in {table.name!r}")
+            table.primary_key.append(action.column.name)
+    elif kind is AlterKind.DROP_COLUMN and action.old_name is not None:
         lowered = action.old_name.lower()
-        new_attrs = tuple(a for a in table.attributes if a.key != lowered)
-        pk = tuple(c for c in table.primary_key if c.lower() != lowered)
-        new_table = Table(table.name, new_attrs, pk)
-        return schema.replace_table(new_table), new_table
-    if kind is AlterKind.MODIFY_COLUMN and action.column is not None:
+        position = table.positions.pop(lowered, None)
+        if position is None:
+            if lenient:
+                return
+            raise SchemaBuildError(f"unknown column {action.old_name!r} in {table.name!r}")
+        table.slots[position] = None
+        table.primary_key = [c for c in table.primary_key if c.lower() != lowered]
+    elif kind is AlterKind.MODIFY_COLUMN and action.column is not None:
         existing = table.attribute(action.column.name)
         if existing is None:
             if lenient:
-                return None
+                return
             raise SchemaBuildError(f"unknown column {action.column.name!r} in {table.name!r}")
-        new_attrs = tuple(
-            _attribute_from_column(action.column) if a.key == existing.key else a
-            for a in table.attributes
-        )
-        new_table = Table(table.name, new_attrs, table.primary_key)
-        return schema.replace_table(new_table), new_table
-    if kind is AlterKind.CHANGE_COLUMN and action.column is not None and action.old_name:
+        table.replace(existing, _attribute_from_column(action.column))
+    elif (
+        kind is AlterKind.CHANGE_COLUMN and action.column is not None and action.old_name
+    ) or (kind is AlterKind.RENAME_COLUMN and action.old_name and action.raw):
         existing = table.attribute(action.old_name)
         if existing is None:
             if lenient:
-                return None
+                return
             raise SchemaBuildError(f"unknown column {action.old_name!r} in {table.name!r}")
-        new_attrs = tuple(
-            _attribute_from_column(action.column) if a.key == existing.key else a
-            for a in table.attributes
-        )
-        pk = tuple(
-            action.column.name if c.lower() == existing.key else c for c in table.primary_key
-        )
-        new_table = Table(table.name, new_attrs, pk)
-        return schema.replace_table(new_table), new_table
-    if kind is AlterKind.RENAME_COLUMN and action.old_name and action.raw:
-        existing = table.attribute(action.old_name)
-        if existing is None:
+        if action.column is not None:
+            renamed = _attribute_from_column(action.column)
+        else:
+            renamed = Attribute(action.raw, existing.data_type, existing.nullable)
+        if renamed.key != existing.key and renamed.key in table.positions:
             if lenient:
-                return None
-            raise SchemaBuildError(f"unknown column {action.old_name!r} in {table.name!r}")
-        renamed = Attribute(action.raw, existing.data_type, existing.nullable)
-        new_attrs = tuple(renamed if a.key == existing.key else a for a in table.attributes)
-        pk = tuple(action.raw if c.lower() == existing.key else c for c in table.primary_key)
-        new_table = Table(table.name, new_attrs, pk)
-        return schema.replace_table(new_table), new_table
-    if kind is AlterKind.ADD_CONSTRAINT and action.constraint is not None:
+                return  # as for tables: MySQL rejects it
+            raise SchemaBuildError(
+                f"column {renamed.name!r} already exists in {table.name!r}"
+            )
+        table.replace(existing, renamed)
+        table.primary_key = [
+            renamed.name if c.lower() == existing.key else c for c in table.primary_key
+        ]
+    elif kind is AlterKind.ADD_CONSTRAINT and action.constraint is not None:
         if action.constraint.kind is ConstraintKind.PRIMARY_KEY:
-            new_table = Table(table.name, table.attributes, action.constraint.columns)
-            return schema.replace_table(new_table), new_table
-        return None  # indexes/uniques/FKs are sub-logical here
-    if kind is AlterKind.DROP_PRIMARY_KEY:
-        new_table = Table(table.name, table.attributes, ())
-        return schema.replace_table(new_table), new_table
-    if kind is AlterKind.RENAME_TABLE and action.raw:
-        renamed = Table(action.raw, table.attributes, table.primary_key)
-        return schema.without_table(table.name).with_table(renamed), None
-    return None  # OTHER / DROP_CONSTRAINT: no logical effect
+            table.primary_key = list(action.constraint.columns)
+        # indexes/uniques/FKs are sub-logical here
+    elif kind is AlterKind.DROP_PRIMARY_KEY:
+        table.primary_key = []
+    # OTHER / DROP_CONSTRAINT: no logical effect
 
 
 def apply_statements(
@@ -176,50 +215,59 @@ def apply_statements(
     With ``lenient=True`` (the default, matching how a mining tool must
     treat arbitrary repository content) re-creates of an existing table
     replace it, drops of a missing table are no-ops, and malformed
-    alters are skipped.  With ``lenient=False`` those raise
-    :class:`SchemaBuildError`.
+    alters are skipped, as are renames of a table or column onto a name
+    already taken (MySQL rejects those with no effect).  With
+    ``lenient=False`` those raise :class:`SchemaBuildError`.
+
+    Replay is linear in the statements: tables live in one dict keyed by
+    lower-cased name (a re-create or alter replaces in place, a drop
+    removes, a create or table rename appends), altered tables are
+    edited in a working structure, and one :class:`Schema` is frozen at
+    the end.
     """
+    tables: _Tables = {table.key: table for table in schema.tables}
     for statement in statements:
         if isinstance(statement, CreateTable):
             table = _table_from_create(statement, lenient)
-            if schema.table(table.name) is not None:
+            if table.key in tables:
                 if statement.if_not_exists:
                     continue
                 if not lenient:
                     raise SchemaBuildError(f"table {table.name!r} already exists")
-                schema = schema.replace_table(table)
-            else:
-                schema = schema.with_table(table)
-            if report:
+            tables[table.key] = table
+            if report is not None:
                 report.created += 1
         elif isinstance(statement, DropTable):
             for name in statement.names:
-                if schema.table(name) is None:
+                key = name.lower()
+                if key not in tables:
                     if statement.if_exists or lenient:
                         continue
                     raise SchemaBuildError(f"DROP of unknown table {name!r}")
-                schema = schema.without_table(name)
-                if report:
+                del tables[key]
+                if report is not None:
                     report.dropped += 1
         elif isinstance(statement, AlterTable):
-            schema = _apply_alter(schema, statement, lenient)
-            if report:
+            _apply_alter(tables, statement, lenient)
+            if report is not None:
                 report.altered += 1
         elif isinstance(statement, RenameTable):
             for old, new in statement.renames:
-                table = schema.table(old)
-                if table is None:
+                if old.lower() not in tables:
                     if lenient:
                         continue
                     raise SchemaBuildError(f"RENAME of unknown table {old!r}")
-                renamed = Table(new, table.attributes, table.primary_key)
-                schema = schema.without_table(old).with_table(renamed)
-                if report:
+                if _rename_table(tables, old, new, lenient) and report is not None:
                     report.renamed += 1
         elif isinstance(statement, IgnoredStatement):
-            if report:
+            if report is not None:
                 report.note_ignored(statement.verb)
-    return schema
+    return Schema(
+        tuple(
+            entry.freeze() if isinstance(entry, _WorkingTable) else entry
+            for entry in tables.values()
+        )
+    )
 
 
 def build_schema(
@@ -227,16 +275,20 @@ def build_schema(
     lenient: bool = True,
     report: BuildReport | None = None,
     dialect: str = "mysql",
+    *,
+    memo: StatementMemo | None = None,
 ) -> Schema:
     """Parse *text* and build the logical schema it declares.
 
     ``dialect`` selects the frontend (see :mod:`repro.sqlddl.dialects`);
-    the default is the historical direct ``parse_script`` path.
+    the default is the historical direct ``parse_script`` path.  *memo*
+    is the lenient parse's statement memo (see
+    :func:`~repro.sqlddl.parser.parse_script`).
     """
     if dialect and dialect != "mysql":
         from repro.sqlddl.dialects import parse_script_for
 
-        statements = parse_script_for(text, dialect)
+        statements = parse_script_for(text, dialect, memo=memo)
     else:
-        statements = parse_script(text)
+        statements = parse_script(text, memo=memo)
     return apply_statements(Schema(), statements, lenient=lenient, report=report)

@@ -22,6 +22,7 @@ from repro.sqlddl.dialects.mysql import MySqlFrontend
 from repro.sqlddl.dialects.postgresql import PostgresFrontend
 from repro.sqlddl.dialects.sqlite import SqliteFrontend
 from repro.sqlddl.errors import UnsupportedDialectError
+from repro.sqlddl.parser import StatementMemo
 
 #: The canonical registry, in documented precedence order.
 FRONTENDS: dict[str, DialectFrontend] = {
@@ -64,9 +65,16 @@ def frontend_for(name: str | Dialect) -> DialectFrontend:
     return FRONTENDS[canonical_dialect_name(name)]
 
 
-def parse_script_for(text: str, dialect: str | Dialect = DEFAULT_DIALECT, strict: bool = False):
-    """Parse *text* through the named dialect's frontend."""
-    return frontend_for(dialect).parse(text, strict=strict)
+def parse_script_for(
+    text: str,
+    dialect: str | Dialect = DEFAULT_DIALECT,
+    strict: bool = False,
+    *,
+    memo: StatementMemo | None = None,
+):
+    """Parse *text* through the named dialect's frontend (*memo*: see
+    :func:`~repro.sqlddl.parser.parse_script`)."""
+    return frontend_for(dialect).parse(text, strict=strict, memo=memo)
 
 
 __all__ = [

@@ -35,7 +35,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.sqlddl.ast import AlterAction, AlterTable, CreateTable, Statement
 from repro.sqlddl.dialect import Dialect
-from repro.sqlddl.parser import parse_script
+from repro.sqlddl.parser import StatementMemo, parse_script
 from repro.sqlddl.types import DataType
 
 
@@ -56,8 +56,15 @@ class DialectFrontend(Protocol):
         """Map one parsed column type onto its canonical form."""
         ...
 
-    def parse(self, text: str, strict: bool = False) -> list[Statement]:
-        """Parse *text* into the canonical statement AST."""
+    def parse(
+        self, text: str, strict: bool = False, *, memo: StatementMemo | None = None
+    ) -> list[Statement]:
+        """Parse *text* into the canonical statement AST.
+
+        *memo* is the lenient parse's statement memo
+        (:func:`~repro.sqlddl.parser.parse_script`); it caches the shared
+        parser's output, before any frontend rewrite.
+        """
         ...
 
 
@@ -80,11 +87,14 @@ class BaseFrontend:
     def normalize_column_type(self, data_type: DataType) -> DataType:
         return data_type
 
-    def parse(self, text: str, strict: bool = False) -> list[Statement]:
+    def parse(
+        self, text: str, strict: bool = False, *, memo: StatementMemo | None = None
+    ) -> list[Statement]:
         statements = parse_script(
             self.preprocess(text),
             strict=strict,
             typeless_columns=self.typeless_columns,
+            memo=memo,
         )
         return [self._rewrite(statement) for statement in statements]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.sqlddl.dialects.base import BaseFrontend
 from repro.sqlddl.dialect import Dialect
-from repro.sqlddl.parser import parse_script
+from repro.sqlddl.parser import StatementMemo, parse_script
 
 
 class MySqlFrontend(BaseFrontend):
@@ -22,7 +22,7 @@ class MySqlFrontend(BaseFrontend):
     name = "mysql"
     dialect = Dialect.MYSQL
 
-    def parse(self, text: str, strict: bool = False):
+    def parse(self, text: str, strict: bool = False, *, memo: StatementMemo | None = None):
         # Bypass the base-class rewrite pass entirely: the guarantee is
         # not "equal ASTs" but "the same code path as before dialects".
-        return parse_script(text, strict=strict)
+        return parse_script(text, strict=strict, memo=memo)

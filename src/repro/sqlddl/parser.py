@@ -5,6 +5,11 @@ statement*.  Real-world dumps contain vendor-specific noise; any
 statement the parser does not understand (or any statement that raises
 mid-parse when ``strict=False``) degrades to :class:`IgnoredStatement`
 covering up to the next top-level semicolon.
+
+Consecutive versions of a schema history repeat most of their
+statements, so the lenient :func:`parse_script` parses a script one
+``;``-terminated segment at a time and reuses the statements of a
+segment it has seen before (a :data:`StatementMemo`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.sqlddl.ast import (
     TableConstraint,
 )
 from repro.sqlddl.errors import SqlSyntaxError
-from repro.sqlddl.lexer import tokenize
+from repro.sqlddl.lexer import split_statements, tokenize
 from repro.sqlddl.tokens import Token, TokenKind
 from repro.sqlddl.types import DataType, normalize_type
 
@@ -42,6 +47,11 @@ _CONSTRAINT_STARTERS = {
 }
 
 _IDENT_KINDS = (TokenKind.WORD, TokenKind.QUOTED_IDENT)
+
+#: ``(typeless_columns, segment text) -> statements`` of the segment.
+#: Holds only parses that are exact wherever the segment occurs; the
+#: nodes are frozen and carry no token positions, so scripts share them.
+StatementMemo = dict[tuple[bool, str], tuple[Statement, ...]]
 
 
 #: Column-attribute keywords that cannot open a data type.  With
@@ -61,6 +71,11 @@ class Parser:
     definitions without a data type (``CREATE TABLE t (raw, n INT)``);
     the default rejects them, preserving the historical strict shape of
     the MySQL grammar.
+
+    After :meth:`statements` is exhausted, ``read_end`` tells whether any
+    statement looked at the final token (EOF).  A parse of part of a
+    script that never did is exactly the whole script's parse over that
+    part: no statement saw where the part ends.
     """
 
     def __init__(
@@ -71,15 +86,21 @@ class Parser:
     ) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._last = len(tokens) - 1
         self._strict = strict
         self._typeless_columns = typeless_columns
+        self._at_end = False  # the current statement peeked the final token
+        self.read_end = False
 
     # ------------------------------------------------------------------
     # token helpers
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
+        index = self._pos + offset
+        if index >= self._last:
+            self._at_end = True
+            index = self._last
         return self._tokens[index]
 
     def _next(self) -> Token:
@@ -176,15 +197,17 @@ class Parser:
             if token.kind is TokenKind.EOF:
                 return
             start = self._pos
+            self._at_end = False
             try:
-                yield self._statement()
+                statement = self._statement()
             except SqlSyntaxError:
                 if self._strict:
                     raise
                 self._pos = start
                 verb = self._peek().upper if self._peek().kind is TokenKind.WORD else "?"
-                raw = self._skip_to_semicolon()
-                yield IgnoredStatement(verb=verb, raw=raw)
+                statement = IgnoredStatement(verb=verb, raw=self._skip_to_semicolon())
+            self.read_end = self.read_end or self._at_end
+            yield statement
 
     def _statement(self) -> Statement:
         token = self._peek()
@@ -759,7 +782,11 @@ class Parser:
 
 
 def parse_script(
-    text: str, strict: bool = False, typeless_columns: bool = False
+    text: str,
+    strict: bool = False,
+    typeless_columns: bool = False,
+    *,
+    memo: StatementMemo | None = None,
 ) -> list[Statement]:
     """Parse a whole ``.sql`` script into statement nodes.
 
@@ -767,7 +794,47 @@ def parse_script(
     junk or unterminated quotes degrade instead of raising, so mining a
     hostile repository never crashes.  ``typeless_columns`` admits
     SQLite's optional column types (see :class:`Parser`).
+
+    The lenient parse goes one segment at a time (see
+    :func:`~repro.sqlddl.lexer.split_statements`) and looks each segment
+    up in *memo* first (a fresh one when ``None``).  It returns exactly
+    what :func:`parse_whole_script` returns:
+
+    - a segment whose statements never looked at its final token parses
+      as it would inside the script; only such parses enter the memo;
+    - the last segment ends where the script ends, so its parse is
+      exact either way;
+    - any other segment that looked at its end, or a script the
+      splitter cannot cut, is parsed whole instead (at most two passes).
     """
+    segments = None if strict else split_statements(text)
+    if segments is None:
+        return parse_whole_script(text, strict, typeless_columns)
+    if memo is None:
+        memo = {}
+    statements: list[Statement] = []
+    last = len(segments) - 1
+    for index, segment in enumerate(segments):
+        key = (typeless_columns, segment)
+        parsed = memo.get(key)
+        if parsed is None:
+            parser = Parser(
+                tokenize(segment, strict=False), typeless_columns=typeless_columns
+            )
+            parsed = tuple(parser.statements())
+            if not parser.read_end:
+                memo[key] = parsed
+            elif index != last:
+                return parse_whole_script(text, False, typeless_columns)
+        statements.extend(parsed)
+    return statements
+
+
+def parse_whole_script(
+    text: str, strict: bool = False, typeless_columns: bool = False
+) -> list[Statement]:
+    """Lex and parse *text* in one pass: the strict path, the lenient
+    fallback, and the reference the segmented parse must equal."""
     return list(
         Parser(
             tokenize(text, strict=strict),
@@ -779,7 +846,7 @@ def parse_script(
 
 def parse_statement(text: str) -> Statement:
     """Parse exactly one statement (strict); convenience for tests."""
-    statements = list(Parser(tokenize(text), strict=True).statements())
+    statements = parse_whole_script(text, strict=True)
     if len(statements) != 1:
         raise SqlSyntaxError(f"expected exactly one statement, got {len(statements)}")
     return statements[0]

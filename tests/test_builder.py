@@ -1,5 +1,7 @@
 """Tests for replaying DDL scripts into logical schemata."""
 
+import time
+
 import pytest
 
 from repro.schema import Schema, build_schema
@@ -193,6 +195,60 @@ class TestRename:
         schema = build_schema("RENAME TABLE ghost TO g2;")
         assert len(schema) == 0
 
+    def test_rename_to_its_own_name_moves_the_table_last(self):
+        schema = build_schema("CREATE TABLE a (x INT); CREATE TABLE b (y INT); RENAME TABLE a TO A;")
+        assert schema.table_names == ("b", "A")
+
+
+#: Renames onto a name already taken (MySQL rejects each with no
+#: effect), each followed by an edit that must still apply.
+TAKEN_NAME_RENAMES = {
+    "rename table": (
+        "RENAME TABLE a TO b, c TO d;",
+        ("a", "b", "d"),
+        None,
+    ),
+    "alter rename table": (
+        "ALTER TABLE a RENAME TO b, ADD COLUMN z INT;",
+        ("a", "b", "c"),
+        ("a", ("x", "y", "z")),
+    ),
+    "change column": (
+        "ALTER TABLE a CHANGE x y INT, ADD COLUMN z INT;",
+        ("a", "b", "c"),
+        ("a", ("x", "y", "z")),
+    ),
+    "rename column": (
+        "ALTER TABLE a RENAME COLUMN x TO Y, ADD COLUMN z INT;",
+        ("a", "b", "c"),
+        ("a", ("x", "y", "z")),
+    ),
+}
+TAKEN_NAME_BASE = "CREATE TABLE a (x INT, y INT); CREATE TABLE b (y INT); CREATE TABLE c (w INT);"
+
+
+class TestRenameOntoTakenName:
+    @pytest.mark.parametrize("form", sorted(TAKEN_NAME_RENAMES))
+    def test_lenient_skips_the_rename_and_applies_the_rest(self, form):
+        statement, tables, columns = TAKEN_NAME_RENAMES[form]
+        schema = build_schema(TAKEN_NAME_BASE + statement)
+        assert schema.table_names == tables
+        assert schema.table("b").attribute_names == ("y",)
+        if columns is not None:
+            table, names = columns
+            assert schema.table(table).attribute_names == names
+
+    @pytest.mark.parametrize("form", sorted(TAKEN_NAME_RENAMES))
+    def test_strict_raises_a_build_error(self, form):
+        statement = TAKEN_NAME_RENAMES[form][0]
+        with pytest.raises(SchemaBuildError, match="already exists"):
+            build_schema(TAKEN_NAME_BASE + statement, lenient=False)
+
+    def test_skipped_rename_pair_is_not_counted(self):
+        report = BuildReport()
+        build_schema(TAKEN_NAME_BASE + "RENAME TABLE a TO b, c TO d;", report=report)
+        assert report.renamed == 1
+
 
 class TestReport:
     def test_report_counts(self):
@@ -217,3 +273,38 @@ class TestReport:
             "UPDATE t SET a = 2;"
         )
         assert schema.size.attributes == 1
+
+
+class TestLinearReplay:
+    """``build_schema`` time grows linearly in statements: about 2x per
+    doubling, where a replay that rebuilds the schema per statement
+    reads 3 to 5."""
+
+    @staticmethod
+    def best_of_three(text: str) -> float:
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            build_schema(text)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            lambda n: "".join(f"CREATE TABLE t{i} (c INT);\n" for i in range(n)),
+            lambda n: "CREATE TABLE t (c INT);\n"
+            + "".join(f"ALTER TABLE t ADD COLUMN c{i} INT;\n" for i in range(n)),
+        ],
+        ids=["creates", "add-columns"],
+    )
+    def test_doubling_the_statements_at_most_doubles_the_time(self, script):
+        n = 2000
+        ratios = []
+        # A busy host can stretch one best-of-3 past 2.5; a quadratic
+        # replay stays above 3 on every attempt.
+        for _ in range(3):
+            ratios.append(self.best_of_three(script(2 * n)) / self.best_of_three(script(n)))
+            if ratios[-1] < 2.5:
+                break
+        assert ratios[-1] < 2.5, ratios

@@ -6,6 +6,7 @@ import pytest
 
 from repro.sqlddl import Token, TokenKind, tokenize
 from repro.sqlddl.errors import SqlLexError
+from repro.sqlddl.lexer import split_statements
 
 
 def kinds(text, **kw):
@@ -293,3 +294,34 @@ class TestLenientUnterminatedOpeners:
 
         # Linear is about 4; rescanning to EOF from every opener was ~16.
         assert best_of_three(8000) / best_of_three(2000) < 8
+
+
+class TestSplitterCost:
+    """Cutting a script at its ``;`` tokens must cost less than lexing
+    it, on hostile text too, or the statement memo cannot pay."""
+
+    MIB = 1 << 20
+
+    @pytest.mark.parametrize(
+        "head, unit, tail, cut",
+        [
+            ("", "CREATE TABLE t (a INT CHECK (x; y));\n", "", True),
+            ("", "ALTER TABLE t ENGINE=x);\n", "", True),
+            ("", "*/* a; b */\n", "", True),
+            ("", "CREATE TABLE t (a INT)\nGO\n", "", True),
+            ("", "/*!40101 SET x=1 */;\n", "", True),
+            ("", "-- a;b\n", "'", False),  # one unterminated quote, at the end
+            ("[", "CREATE TABLE t (a INT);\n", "", False),  # one at the start
+            ("", "CREATE TABLE t (a INT);\n", "/*", False),  # cut all, then fail
+        ],
+    )
+    def test_splitting_a_mebibyte_is_cheaper_than_lexing_it(self, head, unit, tail, cut):
+        text = head + unit * (self.MIB // len(unit)) + tail
+        started = time.perf_counter()
+        segments = split_statements(text)
+        splitting = time.perf_counter() - started
+        started = time.perf_counter()
+        tokenize(text, strict=False)
+        lexing = time.perf_counter() - started
+        assert (segments is not None) is cut
+        assert splitting < lexing

@@ -125,6 +125,26 @@ class TestFaultIsolation:
         payload = funnel_payload(report)
         assert payload["failures"] == [report.failures[0].payload()]
 
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "RENAME TABLE a TO b;",
+            "ALTER TABLE a RENAME TO b;",
+            "ALTER TABLE a CHANGE x y INT;",
+            "ALTER TABLE a RENAME COLUMN x TO y;",
+        ],
+    )
+    def test_rename_onto_a_taken_name_is_measured_not_failed(self, statement):
+        # MySQL rejects each of these renames with no effect; lenient
+        # replay skips them instead of failing the whole project.
+        base = b"CREATE TABLE a (x INT, y INT); CREATE TABLE b (z INT);"
+        repo = repo_with_history("ok/rename", [base, base + statement.encode()])
+        activity = GithubActivityDataset([SqlFileRecord("ok/rename", "schema.sql")])
+        lib_io = LibrariesIoDataset([meta("ok/rename")])
+        report = run_funnel(activity, lib_io, {"ok/rename": repo}.get)
+        assert report.failed_count == 0
+        assert [p.name for p in report.studied] == ["ok/rename"]
+
     def test_provider_crash_is_isolated_too(self):
         activity, lib_io, provider = tiny_corpus(with_bad_project=False)
 
