@@ -141,7 +141,12 @@ def _diff_common_table(old: Table, new: Table) -> list[AttributeChange]:
 
 
 def diff_schemas(old: Schema, new: Schema) -> TransitionDiff:
-    """Compute the full change set between two schema versions."""
+    """Compute the full change set between two schema versions.
+
+    A table that both versions share as one object has no changes and is
+    skipped; schemas built through one
+    :class:`~repro.pipeline.cache.SchemaCache` share unchanged tables.
+    """
     old_tables = old.by_key()
     new_tables = new.by_key()
     changes: list[AttributeChange] = []
@@ -162,7 +167,9 @@ def diff_schemas(old: Schema, new: Schema) -> TransitionDiff:
                     AttributeChange(ChangeKind.DELETED_WITH_TABLE, table.name, attribute.name)
                 )
     for key in old_tables.keys() & new_tables.keys():
-        changes.extend(_diff_common_table(old_tables[key], new_tables[key]))
+        old_table, new_table = old_tables[key], new_tables[key]
+        if old_table is not new_table:
+            changes.extend(_diff_common_table(old_table, new_table))
     return TransitionDiff(
         changes=tuple(changes),
         tables_inserted=tuple(sorted(inserted)),

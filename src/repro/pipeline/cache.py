@@ -16,14 +16,18 @@ the dominant cost of a re-run into dictionary lookups.  Below the blob
 level, consecutive versions of one history repeat most of their
 statements: the cache also owns the lenient parse's statement memo
 (:data:`~repro.sqlddl.parser.StatementMemo`), so a statement text is
-lexed and parsed once per cache, whichever blob it comes back in.
+lexed and parsed once per cache, whichever blob it comes back in, and
+the replay's table memo (:data:`~repro.schema.builder.TableMemo`), so an
+unchanged ``CREATE TABLE`` is one shared :class:`~repro.schema.model.Table`
+in every version.  A schema's key is joined from per-table parts, each
+computed once per shared table, and the diff skips a shared table.
 
 An optional on-disk layer (``cache_dir``) persists both maps as pickles
 keyed by content hash; a warm re-run of the same corpus then performs
 zero ``build_schema`` calls, which the :class:`CacheCounters` expose for
 verification.  All methods are thread-safe: the parallel pipeline shares
-one cache across workers (the statement memo takes plain dict reads and
-writes of immutable values).
+one cache across workers (the memos take plain dict reads and writes
+of immutable values; a lost update only repeats work).
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from typing import Callable
 from repro.core.diff import TransitionDiff, diff_schemas
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace
-from repro.schema.builder import build_schema
-from repro.schema.model import Schema
+from repro.schema.builder import TableMemo, build_schema
+from repro.schema.model import Schema, Table, canonical_table
 from repro.sqlddl.ast import CreateTable
 from repro.sqlddl.parser import StatementMemo, parse_script
 
@@ -140,7 +144,11 @@ def text_key(text: str, lenient: bool = True) -> str:
 
 
 def schema_key(schema: Schema) -> str:
-    """Content hash of a parsed schema, stable across processes."""
+    """Content hash of a parsed schema, stable across processes.
+
+    On-disk diff caches are keyed by it, so its bytes must not change;
+    :class:`SchemaCache` computes the same key from per-table parts.
+    """
     return hashlib.sha256(repr(schema.canonical()).encode()).hexdigest()
 
 
@@ -150,9 +158,9 @@ class SchemaCache:
     With ``cache_dir`` set, every miss is also persisted to disk
     (``<dir>/schemas/<key>.pkl`` and ``<dir>/diffs/<key>.pkl``) and
     future processes warm-start from there.  The statement memo that
-    :meth:`schema_for` and :meth:`has_create_table` share lives as long
-    as the cache (one funnel run, one ingest worker slice) and never
-    touches disk.
+    :meth:`schema_for` and :meth:`has_create_table` share, the table
+    memo and the per-table key parts live as long as the cache (one
+    funnel run, one ingest worker slice) and never touch disk.
     """
 
     def __init__(
@@ -163,6 +171,10 @@ class SchemaCache:
         self._lock = threading.Lock()
         self._schemas: dict[str, Schema] = {}
         self._statements: StatementMemo = {}
+        self._tables: TableMemo = {}
+        # id(table) -> (table, repr of its canonical part); holding the
+        # table keeps its id valid for the memo's lifetime.
+        self._table_parts: dict[int, tuple[Table, str]] = {}
         self._scans: dict[str, bool] = {}
         self._diffs: dict[tuple[str, str], TransitionDiff] = {}
         self._schema_keys: dict[int, str] = {}  # id(schema) -> canonical key
@@ -200,17 +212,22 @@ class SchemaCache:
             # zero `build_schema` spans == zero parses happened.
             with trace("build_schema", key=key[:12]):
                 schema = build_schema(
-                    text, lenient=lenient, dialect=dialect, memo=self._statements
+                    text,
+                    lenient=lenient,
+                    dialect=dialect,
+                    memo=self._statements,
+                    table_memo=self._tables,
                 )
             self._store_pickle("schemas", key, schema)
             disk_hit = False
         else:
             disk_hit = True
+        canonical = self._canonical_key(schema)
         with self._lock:
             # Another worker may have raced us; keep the first object so
             # identical blobs share one Schema instance.
             schema = self._schemas.setdefault(key, schema)
-            self._schema_keys[id(schema)] = schema_key(schema)
+            self._schema_keys[id(schema)] = canonical
             if disk_hit:
                 self.counters.hit("schema", disk=True)
             else:
@@ -245,12 +262,25 @@ class SchemaCache:
 
     # -- diffing ----------------------------------------------------------
 
+    def _canonical_key(self, schema: Schema) -> str:
+        """:func:`schema_key` of *schema*, byte for byte, joined from the
+        repr of each table's canonical part, computed once per table."""
+        parts = []
+        for table in sorted(schema.tables, key=lambda t: t.key):
+            entry = self._table_parts.get(id(table))
+            if entry is None:
+                entry = self._table_parts[id(table)] = (table, repr(canonical_table(table)))
+            parts.append(entry[1])
+        # The repr of the tuple of parts: a 1-tuple keeps its comma.
+        joined = f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+        return hashlib.sha256(joined.encode()).hexdigest()
+
     def _key_of(self, schema: Schema) -> str:
         with self._lock:
             cached = self._schema_keys.get(id(schema))
             if cached is not None:
                 return cached
-        key = schema_key(schema)
+        key = self._canonical_key(schema)
         with self._lock:
             # Hold a reference so the id stays valid for the memo's lifetime.
             self._schemas.setdefault(f"canon-{key}", schema)

@@ -52,6 +52,14 @@ def _attribute_from_column(column: ColumnDef) -> Attribute:
     return Attribute(name=column.name, data_type=column.data_type, nullable=column.nullable)
 
 
+#: ``(id(create), lenient) -> (create, table)``: the table each
+#: ``CREATE TABLE`` node builds.  The statement memo hands back the same
+#: frozen node for an unchanged statement, so an unchanged table is one
+#: shared :class:`Table` in every version; holding the node keeps its
+#: id from being reused while the entry lives.
+TableMemo = dict[tuple[int, bool], tuple[CreateTable, Table]]
+
+
 def _table_from_create(create: CreateTable, lenient: bool = True) -> Table:
     attributes: list[Attribute] = []
     seen: set[str] = set()
@@ -68,6 +76,18 @@ def _table_from_create(create: CreateTable, lenient: bool = True) -> Table:
     return Table(
         name=create.name, attributes=tuple(attributes), primary_key=create.primary_key
     )
+
+
+def _table_for(create: CreateTable, lenient: bool, memo: TableMemo | None) -> Table:
+    """:func:`_table_from_create`, once per node with a *memo*; a build
+    that raises is not stored, so it raises again next time."""
+    if memo is None:
+        return _table_from_create(create, lenient)
+    key = (id(create), lenient)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (create, _table_from_create(create, lenient))
+    return entry[1]
 
 
 class _WorkingTable:
@@ -209,6 +229,8 @@ def apply_statements(
     statements: list[Statement],
     lenient: bool = True,
     report: BuildReport | None = None,
+    *,
+    table_memo: TableMemo | None = None,
 ) -> Schema:
     """Replay *statements* on *schema*, returning the new snapshot.
 
@@ -223,12 +245,14 @@ def apply_statements(
     lower-cased name (a re-create or alter replaces in place, a drop
     removes, a create or table rename appends), altered tables are
     edited in a working structure, and one :class:`Schema` is frozen at
-    the end.
+    the end.  With *table_memo*, a ``CREATE TABLE`` node builds its
+    :class:`Table` once (see :data:`TableMemo`); replay never edits a
+    stored table in place, so an unaltered table stays shared.
     """
     tables: _Tables = {table.key: table for table in schema.tables}
     for statement in statements:
         if isinstance(statement, CreateTable):
-            table = _table_from_create(statement, lenient)
+            table = _table_for(statement, lenient, table_memo)
             if table.key in tables:
                 if statement.if_not_exists:
                     continue
@@ -277,13 +301,15 @@ def build_schema(
     dialect: str = "mysql",
     *,
     memo: StatementMemo | None = None,
+    table_memo: TableMemo | None = None,
 ) -> Schema:
     """Parse *text* and build the logical schema it declares.
 
     ``dialect`` selects the frontend (see :mod:`repro.sqlddl.dialects`);
     the default is the historical direct ``parse_script`` path.  *memo*
     is the lenient parse's statement memo (see
-    :func:`~repro.sqlddl.parser.parse_script`).
+    :func:`~repro.sqlddl.parser.parse_script`), *table_memo* the replay's
+    (see :func:`apply_statements`).
     """
     if dialect and dialect != "mysql":
         from repro.sqlddl.dialects import parse_script_for
@@ -291,4 +317,6 @@ def build_schema(
         statements = parse_script_for(text, dialect, memo=memo)
     else:
         statements = parse_script(text, memo=memo)
-    return apply_statements(Schema(), statements, lenient=lenient, report=report)
+    return apply_statements(
+        Schema(), statements, lenient=lenient, report=report, table_memo=table_memo
+    )

@@ -74,6 +74,14 @@ class Table:
         return len(self.attributes)
 
 
+def canonical_table(table: Table) -> tuple:
+    """One table's part of :meth:`Schema.canonical`: its key, its
+    attributes as sorted ``(key, type, nullable)`` triples, its
+    primary key."""
+    attributes = tuple(sorted((a.key, a.data_type, a.nullable) for a in table.attributes))
+    return (table.key, attributes, table.pk_key)
+
+
 @dataclass(frozen=True, slots=True)
 class SchemaSize:
     """The (tables, attributes) size pair reported per version."""
@@ -158,15 +166,7 @@ class Schema:
         Used to compare schemata produced by different routes (e.g. a
         parsed file vs an applied SMO script).
         """
-        tables = []
-        for table in sorted(self.tables, key=lambda t: t.key):
-            attributes = tuple(
-                sorted(
-                    (a.key, a.data_type, a.nullable) for a in table.attributes
-                )
-            )
-            tables.append((table.key, attributes, table.pk_key))
-        return tuple(tables)
+        return tuple(canonical_table(t) for t in sorted(self.tables, key=lambda t: t.key))
 
     def __len__(self) -> int:
         return len(self.tables)

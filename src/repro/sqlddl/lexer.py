@@ -12,9 +12,10 @@ history.  Tokens are produced by one compiled master regex rather than
 per-character dispatch (about 10x faster on CPython).  Consecutive
 versions share most of their statements, so the lenient script parse
 lexes and parses each distinct statement once per memo (see
-:func:`repro.sqlddl.parser.parse_script`); :func:`split_statements` cuts a
-script at the lexer's own top-level ``;`` tokens, several times faster
-than lexing the same text.
+:func:`repro.sqlddl.parser.parse_script`).  :func:`cut_segment` cuts one
+statement at the lexer's own top-level ``;`` token, several times faster
+than lexing the same text, and most cuts are not even that: a segment the
+memo already holds is found with a ``str.find`` of the next ``;``.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ _MASTER = re.compile(
 #: taken atomically (a lookahead capture consumed by its backreference,
 #: since ``(?>...)`` needs Python 3.11) and none of them a ``;``, plus any
 #: character the lexer would emit as an OPERATOR, up to and including
-#: the next ``;`` token or the end of the text.  Built from ``_MASTER``
-#: itself so the two grammars cannot drift.  It fails where lenient
-#: lexing carries state across a ``;``: an unterminated quote (its kind
-#: goes dead) or an unterminated ``/*`` (the rest is comment).
+#: the next ``;`` token (group ``END``) or the end of the text.  Built
+#: from ``_MASTER`` itself so the two grammars cannot drift.  It fails
+#: where lenient lexing carries state across a ``;``: an unterminated
+#: quote (its kind goes dead) or an unterminated ``/*`` (the rest is
+#: comment).
 _SEGMENT = re.compile(
-    rf"(?:(?=((?!;)(?:{_MASTER.pattern})|(?!/\*)[^'`\"\[;]))\1)*(?:;|\Z)",
+    rf"(?:(?=((?!;)(?:{_MASTER.pattern})|(?!/\*)[^'`\"\[;]))\1)*(?:(?P<END>;)|\Z)",
     re.VERBOSE | re.DOTALL,
 )
 
@@ -206,6 +208,24 @@ def tokenize(text: str, keep_comments: bool = True, strict: bool = True) -> list
     return list(Lexer(text, keep_comments=keep_comments, strict=strict).tokens())
 
 
+def cut_segment(text: str, pos: int) -> tuple[int, bool] | None:
+    """Cut the segment that starts at top-level position *pos* of *text*.
+
+    Returns ``(end, closed)``: the segment is ``text[pos:end]``, and
+    *closed* tells whether it ends with a ``;`` token; otherwise it runs
+    to the end of *text* (a final segment may still end with a ``;``
+    inside a line comment).  A closed segment is matched from its own
+    characters alone, so the same text cuts the same way at any
+    top-level position.  Returns ``None`` when an unterminated quote or
+    block comment opens before the next ``;`` token, which the lenient
+    lexer resolves across segment boundaries.
+    """
+    found = _SEGMENT.match(text, pos)
+    if found is None:
+        return None
+    return found.end(), found.group("END") is not None
+
+
 def split_statements(text: str) -> list[str] | None:
     """Cut *text* after each top-level ``;`` token.
 
@@ -216,13 +236,12 @@ def split_statements(text: str) -> list[str] | None:
     which the lenient lexer resolves across segment boundaries.
     """
     segments: list[str] = []
-    match = _SEGMENT.match
     pos, length = 0, len(text)
     while True:
-        found = match(text, pos)
-        if found is None:
+        cut = cut_segment(text, pos)
+        if cut is None:
             return None
-        end = found.end()
+        end = cut[0]
         segments.append(text[pos:end])
         if end == length:
             return segments

@@ -30,7 +30,7 @@ from repro.sqlddl.ast import (
     TableConstraint,
 )
 from repro.sqlddl.errors import SqlSyntaxError
-from repro.sqlddl.lexer import split_statements, tokenize
+from repro.sqlddl.lexer import cut_segment, tokenize
 from repro.sqlddl.tokens import Token, TokenKind
 from repro.sqlddl.types import DataType, normalize_type
 
@@ -734,8 +734,8 @@ class Parser:
                 break
             if current.kind is TokenKind.LPAREN:
                 depth += 1
-            elif current.kind is TokenKind.RPAREN:
-                depth -= 1
+            elif current.kind is TokenKind.RPAREN and depth:
+                depth -= 1  # a stray ')' must not hide the statement's ';'
             raw_parts.append(self._next().value)
         return AlterAction(AlterKind.OTHER, raw=" ".join(raw_parts))
 
@@ -795,39 +795,52 @@ def parse_script(
     hostile repository never crashes.  ``typeless_columns`` admits
     SQLite's optional column types (see :class:`Parser`).
 
-    The lenient parse goes one segment at a time (see
+    The lenient parse goes one segment at a time (the cuts of
     :func:`~repro.sqlddl.lexer.split_statements`) and looks each segment
-    up in *memo* first (a fresh one when ``None``).  It returns exactly
-    what :func:`parse_whole_script` returns:
+    up in *memo* first (a fresh one when ``None``).  A segment the memo
+    holds is found without the splitter: the text through the next
+    ``;`` character, if it is a key, is the segment cut there.  It
+    returns exactly what :func:`parse_whole_script` returns:
 
     - a segment whose statements never looked at its final token parses
-      as it would inside the script; only such parses enter the memo;
+      as it would inside the script; only such parses enter the memo,
+      except a final segment that ends with a ``;`` inside a line
+      comment (``-- c;``), which the ``;`` lookup would misread as a
+      closed segment;
     - the last segment ends where the script ends, so its parse is
       exact either way;
     - any other segment that looked at its end, or a script the
       splitter cannot cut, is parsed whole instead (at most two passes).
     """
-    segments = None if strict else split_statements(text)
-    if segments is None:
+    if strict:
         return parse_whole_script(text, strict, typeless_columns)
     if memo is None:
         memo = {}
     statements: list[Statement] = []
-    last = len(segments) - 1
-    for index, segment in enumerate(segments):
-        key = (typeless_columns, segment)
-        parsed = memo.get(key)
+    pos, length = 0, len(text)
+    while True:
+        semicolon = text.find(";", pos)
+        end = length if semicolon < 0 else semicolon + 1
+        parsed = memo.get((typeless_columns, text[pos:end]))
         if parsed is None:
+            cut = cut_segment(text, pos)
+            if cut is None:
+                return parse_whole_script(text, False, typeless_columns)
+            end, closed = cut
+            segment = text[pos:end]
             parser = Parser(
                 tokenize(segment, strict=False), typeless_columns=typeless_columns
             )
             parsed = tuple(parser.statements())
-            if not parser.read_end:
-                memo[key] = parsed
-            elif index != last:
-                return parse_whole_script(text, False, typeless_columns)
+            if parser.read_end:
+                if end != length:
+                    return parse_whole_script(text, False, typeless_columns)
+            elif closed or not segment.endswith(";"):
+                memo[(typeless_columns, segment)] = parsed
         statements.extend(parsed)
-    return statements
+        if end == length:
+            return statements
+        pos = end
 
 
 def parse_whole_script(

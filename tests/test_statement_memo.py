@@ -1,7 +1,8 @@
 """The lenient parse's statement memo returns exactly the whole-script parse.
 
 ``parse_script`` cuts a script at the lexer's top-level ``;`` tokens and
-reuses the statements of every segment it has parsed before.  Every case
+reuses the statements of every segment it has parsed before; a segment
+the memo holds is found by the next ``;`` character alone.  Every case
 here compares against :func:`parse_whole_script`, the one-pass parse that
 stays as the strict path and the fallback.
 """
@@ -24,9 +25,10 @@ from repro.synthesis.stream import StreamSpec, synthesize_project
 from repro.vcs.history import extract_file_history
 
 #: Fragments that stress the splitter and the exactness rule: a ``;``
-#: inside a CHECK's parentheses, an ALTER whose option scan runs past its
-#: ``;``, a stray ``*/`` before a comment holding ``;``, GO separators,
-#: executable comments, and unterminated quotes and comments.
+#: inside a CHECK's parentheses, ALTER options with an unclosed ``(`` or a
+#: stray ``)``, a stray ``*/`` before a comment holding ``;``, GO
+#: separators, executable comments, unterminated quotes and comments, and
+#: line comments that end a script just after a ``;``.
 HOSTILE_ATOMS = (
     "CREATE TABLE t (a INT CHECK (x;", " y));", "CHECK (x; y)",
     "ALTER TABLE t ENGINE=x);", "*/* a; b */", "/* c; d */", "GO", "\nGO\n",
@@ -42,6 +44,7 @@ HOSTILE_ATOMS = (
     "ALTER TABLE t ALTER COLUMN a TYPE TEXT USING (a;", "DROP TABLE t;",
     "INSERT INTO t VALUES (1, 'x;y');", "SET @x = 1;", ";", ";;", "-- x;y\n", "# z;\n",
     "CREATE", "TABLE", "ALTER TABLE", "DEFAULT", "(", ")", ",", "a", "INT", "\\", " ", "\n",
+    "-- c;", "# d;", "-- e; CREATE TABLE z (q INT)",
 )
 
 #: Scripts whose first segment, parsed as a script's last, looks past
@@ -50,6 +53,14 @@ HOSTILE_ATOMS = (
 POISONING_PAIR = (
     "CREATE TABLE t (a INT CHECK (x;",
     "CREATE TABLE t (a INT CHECK (x; y)); CREATE TABLE u (b INT);",
+)
+
+#: A script whose last segment ends with a ``;`` inside a line comment:
+#: stored, that segment would answer for the text through the same ``;``
+#: in a longer script, where the comment runs on to the end of its line.
+COMMENT_PAIR = (
+    "CREATE TABLE a (x INT); -- c;",
+    "CREATE TABLE a (x INT); -- c; CREATE TABLE z (q INT)\nCREATE TABLE b (y INT);",
 )
 
 
@@ -104,18 +115,32 @@ class TestHostileScripts:
     def test_shared_memo_with_prefix_poisoning_matches_the_whole_parse(self):
         memo: parser_mod.StatementMemo = {}
         for text in hostile_scripts(seed=29, count=1500):
-            segments = split_statements(text) or [text]
+            # Every prefix through a ``;`` character, cut or not, so its
+            # last segment is in the memo before the longer script reads it.
+            prefixes = [text[: i + 1] for i, char in enumerate(text) if char == ";"]
             for typeless in (False, True):
-                prefix = ""
-                for segment in segments[:-1]:
-                    prefix += segment
-                    assert parse_script(prefix, typeless_columns=typeless, memo=memo) == (
-                        parse_whole_script(prefix, typeless_columns=typeless)
-                    )
-                assert parse_script(text, typeless_columns=typeless, memo=memo) == (
-                    parse_whole_script(text, typeless_columns=typeless)
-                ), text
+                for script in prefixes + [text]:
+                    assert parse_script(script, typeless_columns=typeless, memo=memo) == (
+                        parse_whole_script(script, typeless_columns=typeless)
+                    ), script
         assert memo  # the memo took part
+
+    def test_the_named_comment_pair(self):
+        memo: parser_mod.StatementMemo = {}
+        head, full = COMMENT_PAIR
+        assert parse_script(head, memo=memo) == parse_whole_script(head)
+        statements = parse_script(full, memo=memo)
+        assert statements == parse_whole_script(full)
+        assert [s.name for s in statements if isinstance(s, CreateTable)] == ["a", "b"]
+
+    def test_a_stray_paren_in_an_alter_option_ends_at_its_semicolon(self):
+        text = "CREATE TABLE t (a INT); ALTER TABLE t ENGINE=x); CREATE TABLE u (b INT);"
+        statements = parse_whole_script(text)
+        assert [s.name for s in statements if isinstance(s, CreateTable)] == ["t", "u"]
+        memo: parser_mod.StatementMemo = {}
+        assert parse_script(text, memo=memo) == statements
+        # The ALTER segment no longer reads past its ``;``, so it is stored.
+        assert (False, " ALTER TABLE t ENGINE=x);") in memo
 
     def test_the_named_poisoning_pair(self):
         memo: parser_mod.StatementMemo = {}
@@ -165,8 +190,11 @@ class TestRealHistories:
         scans = [cache.has_create_table(text) for text, _ in versions]
         schemas = [cache.schema_for(text, dialect=dialect) for text, dialect in versions]
         assert whole_parses == []  # real histories never fall back
-        monkeypatch.setattr(parser_mod, "split_statements", lambda text: None)
         assert scans == [
-            any(isinstance(s, CreateTable) for s in parse_script(text)) for text, _ in versions
+            any(isinstance(s, CreateTable) for s in parse_whole_script(text))
+            for text, _ in versions
         ]
+        # With no cut, a lenient parse with a fresh memo is the whole parse.
+        monkeypatch.setattr(parser_mod, "cut_segment", lambda text, pos: None)
         assert schemas == [build_schema(text, dialect=dialect) for text, dialect in versions]
+        assert len(whole_parses) == len(versions)
