@@ -44,9 +44,8 @@ Commands
                 from the body), so re-running replays the stored row.
 
 Every corpus-running command (and ``classify``) shares one option set,
-declared once on :class:`RunOptions`: the pipeline knobs ``--jobs N``,
-``--executor {auto,serial,process}`` (how those jobs run:
-worker processes by default when ``jobs > 1``), ``--cache-dir DIR``
+declared once on :class:`RunOptions`: the pipeline knobs ``--jobs N``
+(worker processes when ``N > 1``), ``--cache-dir DIR``
 and ``--stats``, the observability knobs
 ``--trace FILE`` (write the run's span trace as JSONL) and
 ``--profile`` (wrap the run in ``cProfile``, writing ``.pstats`` next
@@ -56,8 +55,10 @@ per-project retries), ``--deadline SECONDS`` (per-project wall budget),
 chaos), and ``--json`` (machine-readable success output on stdout and,
 on failure, the structured error envelope ``{"error": {"code",
 "message", "detail"}}`` on stderr with a nonzero exit code — the same
-envelope the ``/v1`` HTTP surface answers with).  ``repro --version``
-prints the package version.
+envelope the ``/v1`` HTTP surface answers with).  ``loadgen`` takes
+only the observability, chaos and ``--json`` flags, ``advise`` only
+the observability and ``--json`` ones.  ``repro --version`` prints the
+package version.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from repro.obs import (
     trace,
     uninstall_recorder,
 )
-from repro.pipeline.backends import EXECUTORS
 from repro.reporting import ExperimentSuite, funnel_text
 from repro.synthesis import CorpusSpec, build_corpus
 from repro.viz import heartbeat_chart, heartbeat_series, line_chart, schema_size_series
@@ -114,13 +114,13 @@ class RunOptions:
     One declaration replaces the old per-command ``_corpus_args`` /
     ``_pipeline_args`` wiring: new flags are added here once and every
     subcommand (``funnel``, ``report``, ``classify``, ``project``,
-    ``export``, ``ingest``) picks them up uniformly.
+    ``export``, ``ingest``) picks them up uniformly; ``loadgen`` and
+    ``advise`` declare only the groups they act on.
     """
 
     seed: int = 2019
     scale: float = 1.0
     jobs: int = 1
-    executor: str = "auto"
     cache_dir: str | None = None
     stats: bool = False
     trace: str | None = None
@@ -149,10 +149,17 @@ class RunOptions:
 
     @classmethod
     def add_to_parser(
-        cls, parser: argparse.ArgumentParser, corpus: bool = True
+        cls,
+        parser: argparse.ArgumentParser,
+        corpus: bool = True,
+        pipeline: bool = True,
+        faults: bool = True,
     ) -> None:
-        """Declare the shared flags on *parser* (``corpus=False`` skips
-        the synthetic-corpus knobs for bring-your-own-history commands)."""
+        """Declare the shared flags on *parser*: the synthetic-corpus
+        knobs (*corpus*), the measurement pipeline's (*pipeline*), the
+        chaos injector's (*faults*), and always the output and
+        observability ones, so a command never accepts a flag it
+        ignores."""
         if corpus:
             parser.add_argument("--seed", type=int, default=2019, help="corpus seed")
             parser.add_argument(
@@ -167,25 +174,41 @@ class RunOptions:
                      " mysql-only set reproduces the paper's funnel byte"
                      " for byte",
             )
-        parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="measure N projects concurrently (results are identical for any N)",
-        )
-        parser.add_argument(
-            "--executor", default="auto",
-            choices=EXECUTORS,
-            help="execution backend for --jobs: worker processes sidestep the"
-                 " GIL (auto = process when jobs > 1); results are identical"
-                 " for every backend",
-        )
-        parser.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help="persist the parse/diff cache under DIR; re-runs skip all parsing",
-        )
-        parser.add_argument(
-            "--stats", action="store_true",
-            help="print pipeline stage timings and cache hit/miss counters",
-        )
+        if pipeline:
+            parser.add_argument(
+                "--jobs", type=int, default=1, metavar="N",
+                help="measure N projects concurrently on worker processes"
+                     " (results are identical for any N)",
+            )
+            parser.add_argument(
+                "--cache-dir", default=None, metavar="DIR",
+                help="persist the parse/diff cache under DIR; re-runs skip all parsing",
+            )
+            parser.add_argument(
+                "--stats", action="store_true",
+                help="print pipeline stage timings and cache hit/miss counters",
+            )
+            parser.add_argument(
+                "--retries", type=int, default=1, metavar="N",
+                help="attempts per project (1 = no retries); failed projects"
+                     " re-run with deterministic backoff",
+            )
+            parser.add_argument(
+                "--deadline", type=float, default=None, metavar="SECONDS",
+                help="wall-clock budget per project; exceeding it records a"
+                     " ProjectFailure instead of hanging the run",
+            )
+        if faults:
+            parser.add_argument(
+                "--inject-faults", type=float, default=0.0, dest="fault_rate",
+                metavar="RATE",
+                help="chaos mode: deterministically fail RATE of projects at the"
+                     " parse/persist sites (seeded by --fault-seed)",
+            )
+            parser.add_argument(
+                "--fault-seed", type=int, default=2019, metavar="N",
+                help="seed of the fault injector; equal seeds inject equal faults",
+            )
         parser.add_argument(
             "--trace", default=None, metavar="FILE",
             help="write the run's span trace to FILE as JSONL",
@@ -198,26 +221,6 @@ class RunOptions:
             "--json", action="store_true",
             help="machine-readable output: JSON results on stdout, the"
                  " structured error envelope on stderr",
-        )
-        parser.add_argument(
-            "--retries", type=int, default=1, metavar="N",
-            help="attempts per project (1 = no retries); failed projects"
-                 " re-run with deterministic backoff",
-        )
-        parser.add_argument(
-            "--deadline", type=float, default=None, metavar="SECONDS",
-            help="wall-clock budget per project; exceeding it records a"
-                 " ProjectFailure instead of hanging the run",
-        )
-        parser.add_argument(
-            "--inject-faults", type=float, default=0.0, dest="fault_rate",
-            metavar="RATE",
-            help="chaos mode: deterministically fail RATE of projects at the"
-                 " parse/persist sites (seeded by --fault-seed)",
-        )
-        parser.add_argument(
-            "--fault-seed", type=int, default=2019, metavar="N",
-            help="seed of the fault injector; equal seeds inject equal faults",
         )
 
     @classmethod
@@ -267,7 +270,6 @@ def _build(args: argparse.Namespace):
         retry=opts.retry_policy(),
         project_deadline=opts.deadline,
         injector=opts.injector(),
-        executor=opts.executor,
         dialects=opts.dialects,
     )
     elapsed = time.time() - started
@@ -330,7 +332,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     opts: RunOptions = args.options
     pipeline = MeasurementPipeline(
         provider=lambda _: None,
-        config=PipelineConfig(cache_dir=opts.cache_dir, jobs=opts.jobs),
+        config=PipelineConfig(
+            jobs=opts.jobs,
+            cache_dir=opts.cache_dir,
+            retry=opts.retry_policy(),
+            project_deadline=opts.deadline,
+            injector=opts.injector(),
+        ),
     )
     raw_versions = []
     for index, path in enumerate(args.files):
@@ -343,6 +351,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise CliError(
             "measurement_failed",
             f"{ctx.failure.stage} stage failed: {ctx.failure.message}",
+            detail=ctx.failure.error,
         )
     metrics = ctx.metrics
     if metrics is None:
@@ -421,7 +430,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         project_deadline=opts.deadline,
         injector=opts.injector(),
         chunk_size=args.batch_size,
-        executor=opts.executor,
     )
     if args.stream:
         from repro.synthesis.stream import StreamSpec
@@ -915,7 +923,7 @@ def main(argv: list[str] | None = None) -> int:
         help="override one family's weight (repeatable; e.g. --weight"
              " advise=5 opts the seeded write family into the mix)",
     )
-    RunOptions.add_to_parser(loadgen, corpus=False)
+    RunOptions.add_to_parser(loadgen, corpus=False, pipeline=False)
     loadgen.set_defaults(func=_cmd_loadgen)
 
     advise = sub.add_parser(
@@ -938,7 +946,7 @@ def main(argv: list[str] | None = None) -> int:
         help="Idempotency-Key; equal key + equal body replays the stored"
              " advice (default: a key derived from the body hash)",
     )
-    RunOptions.add_to_parser(advise, corpus=False)
+    RunOptions.add_to_parser(advise, corpus=False, pipeline=False, faults=False)
     advise.set_defaults(func=_cmd_advise)
 
     args = parser.parse_args(argv)

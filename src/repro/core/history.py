@@ -100,7 +100,6 @@ def history_from_versions(
     project: str,
     ddl_path: str,
     file_versions: list[FileVersion],
-    lenient: bool = True,
     schema_factory: Callable[..., Schema] | None = None,
 ) -> SchemaHistory:
     """Parse a VCS file history into a :class:`SchemaHistory`.
@@ -118,7 +117,7 @@ def history_from_versions(
     for file_version in file_versions:
         if file_version.is_deletion or not file_version.text.strip():
             continue
-        schema = factory(file_version.text, lenient=lenient)
+        schema = factory(file_version.text)
         versions.append(
             SchemaVersion(
                 index=len(versions),

@@ -154,15 +154,13 @@ def run_funnel(
     retry: RetryPolicy = NO_RETRY,
     project_deadline: float | None = None,
     injector: FaultInjector | None = None,
-    executor: str = "auto",
     dialects: tuple[str, ...] = ("mysql",),
 ) -> FunnelReport:
     """Run the whole collection funnel and return its report.
 
-    ``jobs`` sets the pipeline's worker count and ``executor`` picks the
-    execution backend (serial or process; ``auto`` uses worker
-    processes whenever ``jobs > 1``) — results are input-ordered, so
-    every combination yields identical reports.  ``cache_dir`` enables
+    ``jobs`` sets the pipeline's worker count (worker processes whenever
+    ``jobs > 1``) — results are input-ordered, so every job count
+    yields identical reports.  ``cache_dir`` enables
     the on-disk parse/diff cache; ``cache`` shares an in-memory cache
     across runs; ``pipeline`` substitutes a fully custom pipeline (it
     wins over the other knobs).  ``retry``/``project_deadline``/
@@ -189,7 +187,6 @@ def run_funnel(
             PipelineConfig(
                 policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
                 retry=retry, project_deadline=project_deadline, injector=injector,
-                executor=executor,
             ),
             cache=cache,
         )

@@ -273,8 +273,8 @@ class MetricsRegistry:
     def dump_state(self) -> list[dict]:
         """Every instrument's raw state as picklable primitives.
 
-        The process execution backend ships each worker's registry back
-        to the parent as this list; :meth:`merge_state` folds it in.
+        A run on worker processes ships each worker's registry back to
+        the parent as this list; :meth:`merge_state` folds it in.
         """
         out: list[dict] = []
         for metric in self.collect():

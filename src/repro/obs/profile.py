@@ -7,10 +7,10 @@ command; the resulting file loads straight into ``pstats`` or
     >>> import pstats
     >>> stats = pstats.Stats("trace.pstats")  # doctest: +SKIP
 
-The parent-process profiler cannot see work done by the process
-execution backend's workers (each worker is its own interpreter), so a
-profiled run advertises its output path via :func:`active_profile_path`;
-the backend has every worker profile its own chunks, ships the dumps
+The parent-process profiler cannot see work done by worker processes
+(each worker is its own interpreter), so a profiled run advertises its
+output path via :func:`active_profile_path`; the worker pool has every
+worker profile its own chunks, ships the dumps
 home, and :func:`merge_worker_profiles` aggregates them into one
 ``<path stem>-workers.pstats`` next to the parent profile.
 """

@@ -211,7 +211,7 @@ def active_recorder() -> TraceRecorder | None:
 def current_span_id() -> int | None:
     """The id of the innermost in-flight span on this thread (or None).
 
-    Execution backends use this to graft worker spans under the parent's
+    The worker pool uses this to graft worker spans under the parent's
     ``pipeline.run`` span when merging traces across processes.
     """
     if _recorder is None:

@@ -14,26 +14,16 @@ explicit, composable subsystem:
   crashing project demotes to instead of aborting the corpus;
 - :mod:`repro.pipeline.stats` — per-stage wall time and cache hit/miss
   counters (:class:`PipelineStats`);
-- :mod:`repro.pipeline.backends` — the pluggable
-  :class:`ExecutionBackend` strategies (serial, worker processes) one
-  ``pipeline.run`` batch is scheduled by;
+- :mod:`repro.pipeline.backends` — the worker processes a run with
+  ``jobs > 1`` is scheduled on;
 - :mod:`repro.pipeline.pipeline` — :class:`MeasurementPipeline`, which
   executes projects concurrently (``jobs=N``) with deterministic,
   input-ordered result assembly and per-project fault isolation.
 
 ``mining.funnel.run_funnel`` delegates its per-project chain here; the
-CLI exposes the knobs as ``--jobs``, ``--executor``, ``--cache-dir``
-and ``--stats``.
+CLI exposes the knobs as ``--jobs``, ``--cache-dir`` and ``--stats``.
 """
 
-from repro.pipeline.backends import (
-    EXECUTORS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-    resolve_executor,
-)
 from repro.pipeline.cache import CacheCounters, SchemaCache
 from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
 from repro.pipeline.stages import (
@@ -48,20 +38,14 @@ from repro.pipeline.stats import PipelineStats
 
 __all__ = [
     "CacheCounters",
-    "EXECUTORS",
-    "ExecutionBackend",
     "MeasurementPipeline",
     "Outcome",
     "PipelineConfig",
     "PipelineStats",
-    "ProcessBackend",
     "ProjectContext",
     "ProjectFailure",
     "ProjectTask",
     "SchemaCache",
     "SeededExtractStage",
-    "SerialBackend",
     "Stage",
-    "resolve_backend",
-    "resolve_executor",
 ]

@@ -1,19 +1,12 @@
-"""Pluggable execution backends: how one ``pipeline.run`` is scheduled.
+"""Worker processes for the measurement pipeline.
 
-Execution is a strategy object chosen by ``PipelineConfig.executor``
-(``auto``, ``serial`` or ``process``).  A thread pool is not among
-them: the GIL made ``--jobs 4`` on threads *slower* than serial on this
-CPU-bound workload (0.75x), so it was removed.
-
-- :class:`SerialBackend` — one task after another in the calling
-  thread; the reference implementation the process backend must match
-  byte-for-byte.
-- :class:`ProcessBackend` — worker *processes* that sidestep the GIL;
-  the default for ``jobs > 1`` under ``executor="auto"``.
-
-Both schedule on a :class:`WorkerPool`, which incremental ingest
-(:mod:`repro.store.ingest`) also drives directly, one pool per run.
-The process contract with the rest of the system:
+``PipelineConfig.jobs`` alone decides how projects run: one job, a
+single task or a custom stage chain runs in the calling thread; more
+jobs run on worker *processes*, which sidestep the GIL (a thread pool
+ran ``--jobs 4`` at 0.75x serial on this CPU-bound workload).  Both
+:func:`run_on_workers` (one ``pipeline.run``) and incremental ingest
+(:mod:`repro.store.ingest`, one pool per run) schedule on a
+:class:`WorkerPool`.  The process contract with the rest of the system:
 
 - **Task shipping** — a slice of work (:class:`WorkerChunk`) carries
   one of two kinds of material.  A :class:`ProjectMaterial` is a task
@@ -21,13 +14,13 @@ The process contract with the rest of the system:
   pipeline's seed map), plus the usable version list when ingest
   already extracted it; workers never see the provider.  A provider
   that *raises* in the parent is re-run inside ``run_project`` in the
-  parent process so its failure keeps the exact serial retry
+  parent process so its failure keeps the exact in-thread retry
   semantics.  A stream material is an index: the slice ships a
   picklable :class:`MaterialSource` (the stream spec, the indices and
   the store's fingerprints of their names), and the worker synthesizes,
   extracts and fingerprints each project itself, drops the unchanged
-  ones and measures the rest.  :func:`run_slice` is that one path; the
-  serial executor runs it inline.
+  ones and measures the rest.  :func:`run_slice` is that one path; a
+  one-job pool runs it inline.
 - **Pool lifetime** — a :class:`WorkerPool` forks its ``jobs`` workers
   on the first submit and keeps them for every slice of its run: one
   ``pipeline.run``, or a whole ingest, whose parent persists one chunk
@@ -36,8 +29,9 @@ The process contract with the rest of the system:
   worker running.
 - **Deterministic partitioning** — tasks are split into contiguous
   chunks (``min(n, jobs * 4)`` of them); the assignment's content hash
-  is recorded via :meth:`PipelineStats.note_partition` for every
-  backend, so identical inputs provably schedule identically.
+  is recorded via :meth:`PipelineStats.note_partition` for every run,
+  in the calling thread or not, so identical inputs provably schedule
+  identically.
 - **Cache sharing** — workers build their own :class:`SchemaCache`
   over the same ``cache_dir``; the on-disk layer (atomic pid-unique
   tmp + rename writes) is the shared medium.  In-memory counters ride
@@ -48,7 +42,7 @@ The process contract with the rest of the system:
   grafts spans under the span it collects them in (``pipeline.run``,
   or ingest's ``ingest.measure``) via :meth:`TraceRecorder.adopt` and
   folds metric deltas in (:meth:`MetricsRegistry.merge_state`), so
-  ``--trace``/``--stats`` read the same truth regardless of backend.
+  ``--trace``/``--stats`` read the same truth for every job count.
 - **Worker death** — a dying worker (``BrokenProcessPool``) poisons
   every future of its pool, queued ones included.  The broken pool is
   shut down, its manager thread joined, and never reused; then each
@@ -62,10 +56,6 @@ The process contract with the rest of the system:
 - **Profiling** — when the run is under ``--profile``, each worker
   profiles its slices and the parent aggregates the dumps into one
   ``<profile stem>-workers.pstats`` next to the parent profile.
-
-Custom stage chains (``MeasurementPipeline(stages=...)``) hold live
-caches and closures that cannot cross a process boundary; asking for
-the process backend there falls back to serial with a warning.
 """
 
 from __future__ import annotations
@@ -74,12 +64,11 @@ import hashlib
 import itertools
 import multiprocessing
 import os
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from repro.obs.profile import (
     active_profile_path,
@@ -101,25 +90,6 @@ if TYPE_CHECKING:  # circular at runtime: pipeline.py imports this module
     from repro.obs.metrics import MetricsRegistry
     from repro.pipeline.cache import SchemaCache
     from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
-
-#: The accepted ``--executor`` / ``PipelineConfig.executor`` values.
-EXECUTORS = ("auto", "serial", "process")
-
-
-def resolve_executor(executor: str, jobs: int) -> str:
-    """Map an executor request to a concrete backend name.
-
-    ``auto`` chooses ``process`` when ``jobs > 1`` and ``serial``
-    otherwise.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
-    if executor == "auto":
-        return "process" if jobs > 1 else "serial"
-    return executor
-
 
 # -- the work units crossing the process boundary --------------------------
 
@@ -213,19 +183,6 @@ def partition_digest(
                 task = f"{task.repo_name}\x00{task.ddl_path}"
             digest.update(f"{task}\x00".encode())
     return digest.hexdigest()
-
-
-def _note_partition(
-    pipeline: "MeasurementPipeline",
-    tasks: Sequence[ProjectTask],
-    chunks: Sequence[tuple[int, int]],
-    backend: str,
-) -> None:
-    pipeline.stats.note_partition(
-        digest=partition_digest(tasks, chunks, backend),
-        chunks=len(chunks),
-        backend=backend,
-    )
 
 
 # -- one slice, wherever it runs --------------------------------------------
@@ -503,98 +460,40 @@ class WorkerPool:
             pass
 
 
-# -- the backends ----------------------------------------------------------
+# -- one pipeline.run on workers ---------------------------------------------
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """How one ``pipeline.run`` batch is scheduled."""
-
-    name: str
-
-    def execute(
-        self, pipeline: "MeasurementPipeline", tasks: Sequence[ProjectTask]
-    ) -> list[ProjectContext]:
-        """Run every task, returning contexts in input order."""
-        ...  # pragma: no cover - protocol
-
-
-class SerialBackend:
-    """One task after another in the calling thread (the reference)."""
-
-    name = "serial"
-
-    def execute(
-        self, pipeline: "MeasurementPipeline", tasks: Sequence[ProjectTask]
-    ) -> list[ProjectContext]:
-        _note_partition(pipeline, tasks, [(0, len(tasks))] if tasks else [], self.name)
-        return [pipeline.run_project(task) for task in tasks]
-
-
-class ProcessBackend:
-    """Worker processes: real CPU parallelism for the measure pipeline.
-
-    See the module docstring for the full contract.  With ``jobs == 1``
-    or a single task there is nothing to parallelize and execution is
-    inlined (still recorded under this backend's partition digest).
-    """
-
-    name = "process"
-
-    def execute(
-        self, pipeline: "MeasurementPipeline", tasks: Sequence[ProjectTask]
-    ) -> list[ProjectContext]:
-        jobs = max(1, pipeline.config.jobs)
-        chunks = partition(len(tasks), jobs)
-        _note_partition(pipeline, tasks, chunks, self.name)
-        if jobs == 1 or len(tasks) <= 1:
-            return [pipeline.run_project(task) for task in tasks]
-
-        materials: list[ProjectMaterial | None] = []
-        seeds = pipeline.seeds
-        for index, task in enumerate(tasks):
-            if seeds is not None:
-                repo, versions = seeds.get(task.repo_name, (None, []))
-                materials.append(ProjectMaterial(index, task, repo, tuple(versions)))
-                continue
-            try:
-                materials.append(
-                    ProjectMaterial(index, task, pipeline.provider(task.repo_name))
-                )
-            except Exception:
-                materials.append(None)  # re-run inline below
-        work = [
-            WorkerChunk(chunk_id, pipeline.config, shipped)
-            for chunk_id, (start, stop) in enumerate(chunks)
-            if (shipped := tuple(m for m in materials[start:stop] if m is not None))
-        ]
-        with WorkerPool(jobs, pipeline.stats.registry) as pool:
-            contexts, _ = pool.results(pool.submit(work), pipeline.cache)
-        results = dict(contexts)
-        for index, material in enumerate(materials):
-            if material is None:
-                # The provider raised during resolution; run_project re-runs
-                # it here so retry/failure semantics match the serial path.
-                results[index] = pipeline.run_project(tasks[index])
-        return [results[index] for index in range(len(tasks))]
-
-
-def resolve_backend(
-    executor: str, jobs: int, custom_stages: bool = False
-) -> ExecutionBackend:
-    """The backend instance for one run.
-
-    Custom stage chains hold closures and shared caches the process
-    boundary cannot serialize; the process backend degrades to serial
-    there (with a warning) rather than failing mid-corpus.
-    """
-    name = resolve_executor(executor, jobs)
-    if name == "process" and custom_stages:
-        warnings.warn(
-            "custom stage chains cannot cross the process boundary; "
-            "falling back to the serial backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        name = "serial"
-    return SerialBackend() if name == "serial" else ProcessBackend()
+def run_on_workers(
+    pipeline: "MeasurementPipeline",
+    tasks: Sequence[ProjectTask],
+    chunks: Sequence[tuple[int, int]],
+) -> list[ProjectContext]:
+    """Run *tasks* on ``pipeline.config.jobs`` worker processes, one
+    slice per chunk of *chunks*; contexts come back in input order."""
+    materials: list[ProjectMaterial | None] = []
+    seeds = pipeline.seeds
+    for index, task in enumerate(tasks):
+        if seeds is not None:
+            repo, versions = seeds.get(task.repo_name, (None, []))
+            materials.append(ProjectMaterial(index, task, repo, tuple(versions)))
+            continue
+        try:
+            materials.append(
+                ProjectMaterial(index, task, pipeline.provider(task.repo_name))
+            )
+        except Exception:
+            materials.append(None)  # re-run inline below
+    work = [
+        WorkerChunk(chunk_id, pipeline.config, shipped)
+        for chunk_id, (start, stop) in enumerate(chunks)
+        if (shipped := tuple(m for m in materials[start:stop] if m is not None))
+    ]
+    with WorkerPool(max(1, pipeline.config.jobs), pipeline.stats.registry) as pool:
+        contexts, _ = pool.results(pool.submit(work), pipeline.cache)
+    results = dict(contexts)
+    for index, material in enumerate(materials):
+        if material is None:
+            # The provider raised during resolution; run_project re-runs
+            # it here so retry/failure semantics match the in-thread path.
+            results[index] = pipeline.run_project(tasks[index])
+    return [results[index] for index in range(len(tasks))]

@@ -42,10 +42,10 @@ from typing import Callable
 from repro.core.diff import TransitionDiff, diff_schemas
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace
-from repro.schema.builder import TableMemo, build_schema
+from repro.schema.builder import TableMemo, build_schema, parse_ddl
 from repro.schema.model import Schema, Table, canonical_table
 from repro.sqlddl.ast import CreateTable
-from repro.sqlddl.parser import StatementMemo, parse_script
+from repro.sqlddl.parser import StatementMemo
 
 #: The cached functions the counters are split by.
 CACHE_KINDS = ("schema", "diff", "scan")
@@ -143,6 +143,12 @@ def text_key(text: str, lenient: bool = True) -> str:
     return digest if lenient else f"strict-{digest}"
 
 
+def _dialect_key(key: str, dialect: str) -> str:
+    """*key* qualified by *dialect*, unless it is the default (see
+    :meth:`SchemaCache.schema_for`)."""
+    return f"{dialect}-{key}" if dialect and dialect != "mysql" else key
+
+
 def schema_key(schema: Schema) -> str:
     """Content hash of a parsed schema, stable across processes.
 
@@ -198,9 +204,7 @@ class SchemaCache:
         MySQL task (or vice versa).  MySQL keys keep their historical
         unqualified form — warm on-disk caches stay warm.
         """
-        key = text_key(text, lenient)
-        if dialect and dialect != "mysql":
-            key = f"{dialect}-{key}"
+        key = _dialect_key(text_key(text, lenient), dialect)
         with self._lock:
             schema = self._schemas.get(key)
             if schema is not None:
@@ -234,11 +238,13 @@ class SchemaCache:
                 self.counters.miss("schema")
         return schema
 
-    def has_create_table(self, text: str) -> bool:
-        """Memoized collection-stage scan: does *text* declare a table?"""
+    def has_create_table(self, text: str, dialect: str = "mysql") -> bool:
+        """Memoized collection-stage scan: does *text* declare a table
+        when parsed through *dialect*'s frontend, as :meth:`schema_for`
+        parses it?  Keys are dialect-qualified by the same rule."""
         if "create" not in text.lower():
             return False
-        key = text_key(text)
+        key = _dialect_key(text_key(text), dialect)
         with self._lock:
             if key in self._scans:
                 self.counters.hit("scan")
@@ -249,7 +255,7 @@ class SchemaCache:
             with trace("scan_create_table", key=key[:12]):
                 verdict = any(
                     isinstance(s, CreateTable)
-                    for s in parse_script(text, memo=self._statements)
+                    for s in parse_ddl(text, dialect, memo=self._statements)
                 )
             self._store_pickle("scans", key, verdict)
         with self._lock:
@@ -339,8 +345,8 @@ class SchemaCache:
         if self._dir is None:
             return
         path = self._dir / kind / f"{key}.pkl"
-        # The suffix must be unique across *processes* too: the process
-        # execution backend has many workers writing the same layer, and
+        # The suffix must be unique across *processes* too: a run on
+        # worker processes has many of them writing the same layer, and
         # thread idents alone collide between interpreters.
         tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
         try:

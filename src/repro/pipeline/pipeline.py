@@ -1,14 +1,13 @@
 """The pipeline driver: fault isolation, retries, and timing.
 
 ``MeasurementPipeline.run`` pushes every :class:`ProjectTask` through
-the stage chain.  *How* the batch is scheduled is delegated to a
-pluggable :class:`~repro.pipeline.backends.ExecutionBackend` chosen by
-``PipelineConfig.executor`` — serial, or worker processes (the default
-for ``jobs > 1``, since the workload is CPU-bound python and threads
-lose to the GIL).  Whatever the backend, results are assembled strictly
-in input order, so every executor yields byte-identical reports.  A
-stage that raises demotes its project to a :class:`ProjectFailure`; the
-rest of the corpus is unaffected.
+the stage chain.  ``PipelineConfig.jobs`` alone decides how the batch
+runs: in the calling thread for one job, or on worker processes
+(:func:`~repro.pipeline.backends.run_on_workers`; the workload is
+CPU-bound python, and threads lose to the GIL).  Results are assembled
+strictly in input order, so every job count yields byte-identical
+reports.  A stage that raises demotes its project to a
+:class:`ProjectFailure`; the rest of the corpus is unaffected.
 
 Resilience (opt-in via :class:`PipelineConfig`): a ``retry`` policy
 re-runs a failed project from a *fresh* context with deterministic
@@ -22,11 +21,13 @@ published to the run's metrics registry.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.core.heartbeat import DEFAULT_REED_LIMIT
 from repro.obs.trace import trace
+from repro.pipeline.backends import partition, partition_digest, run_on_workers
 from repro.pipeline.cache import SchemaCache
 from repro.resilience.faults import FaultInjector, InjectedFault
 from repro.resilience.policy import NO_RETRY, Deadline, DeadlineExceeded, RetryPolicy
@@ -60,11 +61,9 @@ class PipelineConfig:
     reed_limit: int = DEFAULT_REED_LIMIT
     jobs: int = 1
     cache_dir: str | None = None
-    lenient: bool = True
     retry: RetryPolicy = field(default=NO_RETRY)
     project_deadline: float | None = None  # wall-second budget per project
     injector: FaultInjector | None = None  # seeded chaos, off by default
-    executor: str = "auto"  # serial | process; auto picks by jobs
 
 
 class MeasurementPipeline:
@@ -81,9 +80,9 @@ class MeasurementPipeline:
         """*seeds* replaces the extract stage with a
         :class:`SeededExtractStage` over pre-extracted histories (the
         incremental ingest's fingerprint pass already walked them); the
-        process backend ships those version lists to its workers.
-        An explicit *stages* chain wins over both and pins execution to
-        in-process backends (closures cannot cross a fork)."""
+        worker processes receive those version lists.  An explicit
+        *stages* chain wins over both and always runs in the calling
+        thread (closures cannot cross a fork)."""
         self.config = config
         self.provider = provider
         self.seeds = dict(seeds) if seeds is not None else None
@@ -100,7 +99,7 @@ class MeasurementPipeline:
             )
             self.stages = (
                 extract,
-                ParseStage(self.cache, lenient=config.lenient),
+                ParseStage(self.cache),
                 DiffStage(self.cache),
                 MeasureStage(self.cache, reed_limit=config.reed_limit),
                 ClassifyStage(),
@@ -186,25 +185,35 @@ class MeasurementPipeline:
 
     def run(self, tasks: Iterable[ProjectTask]) -> list[ProjectContext]:
         """Run every task; results come back in input order regardless of
-        scheduling, so every backend and job count yields identical
-        output.  Scheduling itself is delegated to the
-        :class:`~repro.pipeline.backends.ExecutionBackend` selected by
-        ``config.executor``."""
-        from repro.pipeline.backends import resolve_backend
-
+        scheduling, so every job count yields identical output.  More
+        than one job and more than one task run on worker processes;
+        anything else, and a custom stage chain, in the calling thread."""
         task_list = list(tasks)
         started = time.perf_counter()
         jobs = max(1, self.config.jobs)
-        backend = resolve_backend(
-            self.config.executor, jobs, custom_stages=self._custom_stages
+        if jobs > 1 and self._custom_stages:
+            warnings.warn(
+                "custom stage chains cannot cross the process boundary; "
+                "running them in the calling thread",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        workers = jobs > 1 and len(task_list) > 1 and not self._custom_stages
+        backend = "process" if workers else "serial"
+        if workers:
+            chunks = partition(len(task_list), jobs)
+        else:
+            chunks = [(0, len(task_list))] if task_list else []
+        self.stats.note_partition(
+            digest=partition_digest(task_list, chunks, backend),
+            chunks=len(chunks),
+            backend=backend,
         )
-        with trace(
-            "pipeline.run",
-            projects=len(task_list),
-            jobs=jobs,
-            executor=backend.name,
-        ):
-            results = backend.execute(self, task_list)
+        with trace("pipeline.run", projects=len(task_list), jobs=jobs):
+            if workers:
+                results = run_on_workers(self, task_list, chunks)
+            else:
+                results = [self.run_project(task) for task in task_list]
         failed = sum(1 for ctx in results if ctx.outcome is Outcome.FAILED)
         self.stats.note_run(
             projects=len(task_list),
@@ -245,7 +254,7 @@ class MeasurementPipeline:
             cache=self.cache,
             stages=(
                 ExtractStage(lambda _: repo, policy=self.config.policy),
-                ParseStage(self.cache, lenient=self.config.lenient),
+                ParseStage(self.cache),
                 DiffStage(self.cache),
                 MeasureStage(self.cache, reed_limit=self.config.reed_limit),
                 ClassifyStage(),

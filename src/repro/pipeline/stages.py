@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Protocol, runtime_checkable
 
 from repro.core.heartbeat import DEFAULT_REED_LIMIT
@@ -148,9 +149,9 @@ class SeededExtractStage:
 
     Two callers hold the version lists before the pipeline runs and must
     not walk them twice: the incremental ingest (its fingerprint pass
-    already linearized every candidate history) and the process
-    execution backend (the parent ships each worker its tasks'
-    repositories and version lists, because a worker has no provider).
+    already linearized every candidate history) and the worker processes
+    (the parent ships each worker its tasks' repositories and version
+    lists, because a worker has no provider).
     """
 
     name = "extract"
@@ -170,35 +171,26 @@ class SeededExtractStage:
 
 
 class ParseStage:
-    """Scan for CREATE TABLE, then parse every version through the cache."""
+    """Scan for CREATE TABLE, then parse every version through the cache;
+    both go through the task's dialect frontend."""
 
     name = "parse"
 
-    def __init__(self, cache: SchemaCache, lenient: bool = True):
+    def __init__(self, cache: SchemaCache):
         self._cache = cache
-        self._lenient = lenient
 
     def run(self, ctx: ProjectContext) -> None:
-        if not any(self._cache.has_create_table(v.text) for v in ctx.file_versions):
+        dialect = ctx.task.dialect
+        if not any(
+            self._cache.has_create_table(v.text, dialect) for v in ctx.file_versions
+        ):
             ctx.outcome = Outcome.NO_CREATE
             return
-        dialect = ctx.task.dialect
-        if dialect and dialect != "mysql":
-            cache = self._cache
-
-            def factory(text: str, lenient: bool = True):
-                return cache.schema_for(text, lenient=lenient, dialect=dialect)
-
-        else:
-            # The historical code path, bit for bit: mysql tasks hand
-            # the cache method itself to history_from_versions.
-            factory = self._cache.schema_for
         ctx.history = history_from_versions(
             ctx.task.repo_name,
             ctx.task.ddl_path,
             ctx.file_versions,
-            lenient=self._lenient,
-            schema_factory=factory,
+            schema_factory=partial(self._cache.schema_for, dialect=dialect),
         )
 
 

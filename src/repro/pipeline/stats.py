@@ -96,11 +96,13 @@ class PipelineStats:
         ).inc()
 
     def note_partition(self, digest: str, chunks: int, backend: str) -> None:
-        """Record how the execution backend split the task list.
+        """Record how a run split the task list.
 
         The digest is a content hash of the (ordered) task-to-chunk
         assignment, so two runs over the same inputs with the same
-        backend and job count provably partitioned identically.
+        job count provably partitioned identically.  *backend* is
+        ``"process"`` when worker processes ran, ``"serial"`` when the
+        calling thread did.
         """
         self._partition = {"digest": digest, "chunks": chunks, "backend": backend}
         self.registry.gauge("repro_pipeline_partition_chunks").set(chunks)

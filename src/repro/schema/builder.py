@@ -311,12 +311,23 @@ def build_schema(
     :func:`~repro.sqlddl.parser.parse_script`), *table_memo* the replay's
     (see :func:`apply_statements`).
     """
+    return apply_statements(
+        Schema(),
+        parse_ddl(text, dialect, memo=memo),
+        lenient=lenient,
+        report=report,
+        table_memo=table_memo,
+    )
+
+
+def parse_ddl(
+    text: str, dialect: str = "mysql", *, memo: StatementMemo | None = None
+) -> list[Statement]:
+    """The lenient parse of *text* through *dialect*'s frontend, as
+    :func:`build_schema` replays it; ``"mysql"`` (and ``""``) take the
+    historical direct :func:`~repro.sqlddl.parser.parse_script` path."""
     if dialect and dialect != "mysql":
         from repro.sqlddl.dialects import parse_script_for
 
-        statements = parse_script_for(text, dialect, memo=memo)
-    else:
-        statements = parse_script(text, memo=memo)
-    return apply_statements(
-        Schema(), statements, lenient=lenient, report=report, table_memo=table_memo
-    )
+        return parse_script_for(text, dialect, memo=memo)
+    return parse_script(text, memo=memo)

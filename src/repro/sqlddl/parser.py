@@ -723,14 +723,15 @@ class Parser:
             new_table = self._ident()
             return AlterAction(AlterKind.RENAME_TABLE, old_name=table, raw=new_table)
         # ENGINE=..., AUTO_INCREMENT=..., CONVERT TO CHARACTER SET ... :
-        # consume tokens until , or ; at depth 0.
+        # consume tokens until a , at depth 0 or a ; at any depth (a ;
+        # outside a string always ends a MySQL statement).
         raw_parts = []
         depth = 0
         while True:
             current = self._peek()
-            if current.kind is TokenKind.EOF:
+            if current.kind in (TokenKind.EOF, TokenKind.SEMICOLON):
                 break
-            if depth == 0 and current.kind in (TokenKind.COMMA, TokenKind.SEMICOLON):
+            if depth == 0 and current.kind is TokenKind.COMMA:
                 break
             if current.kind is TokenKind.LPAREN:
                 depth += 1

@@ -29,8 +29,8 @@ fingerprints once, measure its changed projects, write them in one
   repositories already, and only the changed projects are shipped with
   their extracted histories.  A re-ingest ships nothing.
 
-A run forks one :class:`~repro.pipeline.backends.WorkerPool` (the
-serial executor runs the same slices inline) and keeps exactly one
+A run opens one :class:`~repro.pipeline.backends.WorkerPool` (with
+one job it runs the same slices inline) and keeps exactly one
 chunk in flight ahead: while the parent persists chunk *k*, chunk *k+1*
 is already on the workers.  The pool is closed in a ``finally`` that
 cancels the chunk in flight, so a crash or Ctrl-C leaves no worker
@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -75,7 +76,6 @@ from repro.pipeline.backends import (
     WorkerPool,
     partition,
     partition_digest,
-    resolve_executor,
 )
 from repro.pipeline.cache import SchemaCache, text_key
 from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
@@ -191,9 +191,10 @@ def history_fingerprint(
     if repo is None:
         return MISSING_REPO_FINGERPRINT
     digest = hashlib.sha256()
+    # "|1" and text_key's unprefixed form name the lenient parse;
+    # stored fingerprints hash both, so they must not change.
     digest.update(
-        f"{task.ddl_path}|{config.policy.name}|{config.reed_limit}"
-        f"|{int(config.lenient)}".encode()
+        f"{task.ddl_path}|{config.policy.name}|{config.reed_limit}|1".encode()
     )
     if task.dialect not in ("", "mysql"):
         # A dialect switch re-measures the project (SQLite affinity and
@@ -210,7 +211,7 @@ def history_fingerprint(
     for version in versions:
         digest.update(
             f"|{version.commit_oid}:{version.timestamp}"
-            f":{text_key(version.text, config.lenient)}".encode()
+            f":{text_key(version.text)}".encode()
         )
     return digest.hexdigest()
 
@@ -422,7 +423,7 @@ def _ingest(
         **source,
         "policy": config.policy.name,
         "reed_limit": config.reed_limit,
-        "lenient": config.lenient,
+        "lenient": True,  # the parse is always lenient; old checkpoints resume
     }
     count, start = report.tasks, 0
     raw = store.get_meta(INGEST_CHECKPOINT_KEY)
@@ -448,8 +449,8 @@ def _ingest(
         jobs=max(1, config.jobs), cache=cache.counters if cache is not None else None
     )
     chunk = chunk_size if chunk_size is not None else max(8, config.jobs * 4)
-    backend = resolve_executor(config.executor, config.jobs)
-    jobs = max(1, config.jobs) if backend == "process" else 1
+    jobs = max(1, config.jobs)
+    backend = "process" if jobs > 1 else "serial"
 
     def send(chunk_start: int, chunk_stop: int) -> _InFlight:
         sent_at = time.perf_counter()
@@ -547,7 +548,6 @@ def ingest_corpus(
     project_deadline: float | None = None,
     injector: FaultInjector | None = None,
     chunk_size: int | None = None,
-    executor: str = "auto",
     dialects: tuple[str, ...] = ("mysql",),
 ) -> IngestReport:
     """Run the funnel front, measure the changed delta, persist it all.
@@ -560,8 +560,8 @@ def ingest_corpus(
     :class:`~repro.pipeline.stages.ProjectFailure`; with ``prune``,
     stored projects that left the corpus are dropped.
 
-    ``retry``/``project_deadline``/``injector``/``executor``
-    parameterize the measurement pipeline exactly as in ``run_funnel``;
+    ``jobs``/``retry``/``project_deadline``/``injector`` parameterize
+    the measurement pipeline exactly as in ``run_funnel``;
     ``retry`` also governs the row-by-row persist fallback.  Chunks hold
     ``chunk_size`` projects (default ``max(8, jobs * 4)``), so a crash
     loses at most the chunk being written and the one in flight; the
@@ -578,7 +578,6 @@ def ingest_corpus(
     config = PipelineConfig(
         policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
         retry=retry, project_deadline=project_deadline, injector=injector,
-        executor=executor,
     )
 
     def dispatch(start: int, stop: int, cache: SchemaCache, jobs: int) -> _Dispatch:
@@ -625,7 +624,7 @@ def ingest_stream(
     project_deadline: float | None = None,
     injector: FaultInjector | None = None,
     chunk_size: int | None = None,
-    executor: str = "auto",
+    executor: str | None = None,
 ) -> IngestReport:
     """Consume a synthesis stream into the store in bounded batches.
 
@@ -639,8 +638,25 @@ def ingest_stream(
     **by index**, regenerating nothing before the checkpoint
     (per-project seeds make any suffix of the stream reproducible), and
     reports ``resumed_from == "stream"`` and ``stream_resumed_at``.
+
+    ``executor`` is deprecated and ignored (``jobs`` alone decides how
+    projects run); it accepts only its old values ``auto``, ``serial``
+    and ``process``.
     """
     from repro.synthesis.stream import project_name
+
+    if executor is not None:
+        if executor not in ("auto", "serial", "process"):
+            raise ValueError(
+                f"unknown executor {executor!r};"
+                " expected one of ('auto', 'serial', 'process')"
+            )
+        warnings.warn(
+            "ingest_stream(executor=...) is deprecated and ignored;"
+            " jobs alone decides how projects run",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     started = time.perf_counter()
     store.record_funnel_front(
@@ -652,7 +668,6 @@ def ingest_stream(
     config = PipelineConfig(
         policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
         retry=retry, project_deadline=project_deadline, injector=injector,
-        executor=executor,
     )
 
     def dispatch(start: int, stop: int, cache: SchemaCache, jobs: int) -> _Dispatch:

@@ -1,9 +1,9 @@
-"""Cross-backend equivalence: serial and process execution.
+"""Job-count equivalence: the calling thread and worker processes.
 
-The execution backend is pure scheduling — every backend must produce
+How projects run is pure scheduling — every job count must produce
 byte-identical study artifacts, identical failure records under seeded
 chaos, and the same provable cache behavior.  These tests pin that
-contract, plus the process backend's own obligations: worker death
+contract, plus the worker pool's own obligations: worker death
 degrades to ``executor``-stage failures instead of hanging the run,
 worker spans/metrics relay into the parent's recorder/registry, and the
 task partition is deterministic and recorded.
@@ -21,16 +21,7 @@ from repro.io.export import funnel_payload
 from repro.mining.funnel import select_tasks
 from repro.mining.selection import SelectionCriteria
 from repro.obs import recording
-from repro.pipeline import (
-    EXECUTORS,
-    MeasurementPipeline,
-    Outcome,
-    PipelineConfig,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-    resolve_executor,
-)
+from repro.pipeline import MeasurementPipeline, Outcome, PipelineConfig
 from repro.pipeline.backends import partition, partition_digest
 from repro.pipeline.stages import ProjectTask
 from repro.resilience import FaultInjector, RetryPolicy
@@ -39,12 +30,13 @@ from repro.synthesis import CorpusSpec, build_corpus
 from repro.synthesis.stream import StreamSpec, materialize_stream
 from repro.vcs.repository import Repository
 
-BACKENDS = ("serial", "process")
+#: Job counts by how they run (the partition record's ``backend``).
+JOBS = {"serial": 1, "process": 4}
 
 
 @pytest.fixture(scope="module")
 def small_corpus():
-    """A corpus small enough to re-run once per backend."""
+    """A corpus small enough to re-run once per job count."""
     return build_corpus(CorpusSpec(seed=2019, scale=0.05))
 
 
@@ -72,33 +64,6 @@ def _repo(name: str, versions: int = 3) -> Repository:
     return repo
 
 
-class TestExecutorResolution:
-    def test_auto_is_serial_for_one_job_and_process_beyond(self):
-        assert resolve_executor("auto", 1) == "serial"
-        assert resolve_executor("auto", 4) == "process"
-
-    def test_explicit_names_resolve_to_themselves(self):
-        for name in BACKENDS:
-            assert resolve_executor(name, 1) == name
-            assert resolve_executor(name, 8) == name
-
-    def test_unknown_executor_is_rejected(self):
-        # "thread" was removed in 2.0: unknown, not silently serial.
-        for name in ("gpu", "thread"):
-            with pytest.raises(ValueError, match="unknown executor"):
-                resolve_executor(name, 4)
-
-    def test_resolve_backend_maps_names_to_classes(self):
-        assert isinstance(resolve_backend("serial", 4), SerialBackend)
-        assert isinstance(resolve_backend("process", 4), ProcessBackend)
-        assert EXECUTORS == ("auto", *BACKENDS)
-
-    def test_custom_stages_demote_process_to_serial_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="process boundary"):
-            backend = resolve_backend("process", 4, custom_stages=True)
-        assert isinstance(backend, SerialBackend)
-
-
 class TestPartitioning:
     def test_chunks_are_contiguous_and_cover_every_task(self):
         chunks = partition(103, 4)
@@ -124,42 +89,32 @@ class TestPartitioning:
     @pytest.mark.slow
     def test_partition_is_recorded_in_stats_for_every_backend(self, small_corpus):
         digests = {}
-        for executor in BACKENDS:
-            report = small_corpus.run_funnel(jobs=2, executor=executor)
+        for backend, jobs in JOBS.items():
+            report = small_corpus.run_funnel(jobs=jobs)
             record = report.stats.partition
-            assert record is not None and record["backend"] == executor
+            assert record is not None and record["backend"] == backend
             assert record["digest"] and record["chunks"] >= 1
             assert report.stats.payload()["partition"] == record
-            digests[executor] = record["digest"]
-        # re-running the same backend reproduces the same digest
-        again = small_corpus.run_funnel(jobs=2, executor="process")
+            digests[backend] = record["digest"]
+        # re-running the same job count reproduces the same digest
+        again = small_corpus.run_funnel(jobs=JOBS["process"])
         assert again.stats.partition["digest"] == digests["process"]
+        # a single task never forks, whatever the job count
+        one = MeasurementPipeline({"a/x": _repo("a/x")}.get, PipelineConfig(jobs=4))
+        assert one.run(_tasks(["a/x"]))[0].outcome is Outcome.STUDIED
+        assert one.stats.partition["backend"] == "serial"
 
 
 @pytest.mark.slow
 class TestCrossBackendEquivalence:
-    def test_funnel_payload_is_byte_identical_across_backends(self, small_corpus):
-        payloads = {
-            executor: json.dumps(
-                funnel_payload(
-                    small_corpus.run_funnel(jobs=4, executor=executor)
-                ),
-                sort_keys=True,
-            )
-            for executor in BACKENDS
-        }
-        assert payloads["serial"] == payloads["process"]
-
     def test_seeded_faults_replay_identically_across_backends(self, small_corpus):
         injector = FaultInjector(seed=7, rate=0.4, sites=("parse",))
         retry = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0)
         records = {}
-        for executor in BACKENDS:
-            report = small_corpus.run_funnel(
-                jobs=4, executor=executor, injector=injector, retry=retry
-            )
+        for backend, jobs in JOBS.items():
+            report = small_corpus.run_funnel(jobs=jobs, injector=injector, retry=retry)
             assert report.failed_count > 0  # the chaos actually fired
-            records[executor] = [
+            records[backend] = [
                 failure.payload()
                 for failure in sorted(report.failures, key=lambda f: f.project)
             ]
@@ -169,14 +124,10 @@ class TestCrossBackendEquivalence:
         self, small_corpus, tmp_path
     ):
         cache_dir = str(tmp_path / "cache")
-        cold = small_corpus.run_funnel(
-            jobs=4, executor="process", cache_dir=cache_dir
-        )
+        cold = small_corpus.run_funnel(jobs=4, cache_dir=cache_dir)
         assert cold.stats.cache.build_schema_calls > 0
         with recording() as recorder:
-            warm = small_corpus.run_funnel(
-                jobs=4, executor="process", cache_dir=cache_dir
-            )
+            warm = small_corpus.run_funnel(jobs=4, cache_dir=cache_dir)
         # provably warm: zero parses by counter *and* by trace
         assert warm.stats.cache.build_schema_calls == 0
         assert recorder.count("build_schema") == 0
@@ -190,9 +141,11 @@ class TestObservabilityRelay:
     @pytest.mark.slow
     def test_worker_spans_graft_under_the_parent_run_span(self, small_corpus):
         with recording() as recorder:
-            small_corpus.run_funnel(jobs=4, executor="process")
+            report = small_corpus.run_funnel(jobs=4)
+        assert report.stats.partition["backend"] == "process"
         run_span = recorder.spans("pipeline.run")[0]
-        assert run_span.attrs["executor"] == "process"
+        assert set(run_span.attrs) == {"projects", "jobs"}
+        assert run_span.attrs["jobs"] == 4
         grafted = [
             span for span in recorder.spans()
             if span.thread.startswith("worker-")
@@ -209,8 +162,8 @@ class TestObservabilityRelay:
 
     @pytest.mark.slow
     def test_worker_metrics_merge_into_the_parent_registry(self, small_corpus):
-        serial = small_corpus.run_funnel(jobs=1, executor="serial")
-        process = small_corpus.run_funnel(jobs=4, executor="process")
+        serial = small_corpus.run_funnel(jobs=1)
+        process = small_corpus.run_funnel(jobs=4)
         # per-stage project counts are scheduling-independent
         assert process.stats.stage_projects == serial.stats.stage_projects
         assert process.stats.projects == serial.stats.projects
@@ -223,16 +176,14 @@ class TestObservabilityRelay:
         assert observed == sum(process.stats.stage_projects.values())
 
 
-class TestProcessBackendResilience:
+class TestWorkerResilience:
     def test_worker_death_degrades_to_executor_failures(self):
         repos = {
             "ok/alpha": _repo("ok/alpha"),
             "bad/boom": PoisonRepo("bad/boom"),
             "ok/omega": _repo("ok/omega"),
         }
-        pipeline = MeasurementPipeline(
-            repos.get, PipelineConfig(jobs=2, executor="process")
-        )
+        pipeline = MeasurementPipeline(repos.get, PipelineConfig(jobs=2))
         contexts = pipeline.run(
             _tasks(["ok/alpha", "bad/boom", "ok/omega"])
         )
@@ -251,23 +202,22 @@ class TestProcessBackendResilience:
             raise ConnectionError(f"clone of {name} refused")
 
         results = {}
-        for executor in ("serial", "process"):
+        for backend, jobs in JOBS.items():
             pipeline = MeasurementPipeline(
                 flaky_provider,
                 PipelineConfig(
-                    jobs=2,
-                    executor=executor,
+                    jobs=jobs,
                     retry=RetryPolicy(
                         max_attempts=3, base_delay=0.0, max_delay=0.0
                     ),
                 ),
             )
-            (ctx,) = pipeline.run(_tasks(["gone/away"]))
-            assert ctx.failure is not None
-            results[executor] = ctx.failure.payload()
+            contexts = pipeline.run(_tasks(["gone/away", "gone/too"]))
+            assert pipeline.stats.partition["backend"] == backend
+            results[backend] = [ctx.failure.payload() for ctx in contexts]
         assert results["serial"] == results["process"]
-        assert results["process"]["stage"] == "extract"
-        assert results["process"]["attempts"] == 3
+        assert {f["stage"] for f in results["process"]} == {"extract"}
+        assert {f["attempts"] for f in results["process"]} == {3}
 
     def test_unpicklable_repo_falls_back_to_inline_execution(self):
         class UnpicklableRepo(Repository):
@@ -277,9 +227,7 @@ class TestProcessBackendResilience:
         source = _repo("ok/inline")
         repo = UnpicklableRepo("ok/inline")
         repo.__dict__.update(source.__dict__)
-        pipeline = MeasurementPipeline(
-            {"ok/inline": repo}.get, PipelineConfig(jobs=2, executor="process")
-        )
+        pipeline = MeasurementPipeline({"ok/inline": repo}.get, PipelineConfig(jobs=2))
         contexts = pipeline.run(_tasks(["ok/inline"]) * 2)
         assert all(ctx.outcome is Outcome.STUDIED for ctx in contexts)
 
@@ -298,16 +246,16 @@ class TestSeededPipeline:
             "seeded/vanished": (None, []),
         }
         outcomes = {}
-        for executor in BACKENDS:
+        for backend, jobs in JOBS.items():
             pipeline = MeasurementPipeline(
                 provider=lambda name: seeds.get(name, (None, []))[0],
-                config=PipelineConfig(jobs=2, executor=executor),
+                config=PipelineConfig(jobs=jobs),
                 seeds=seeds,
             )
             contexts = pipeline.run(
                 _tasks(["seeded/project", "seeded/vanished"])
             )
-            outcomes[executor] = [ctx.outcome for ctx in contexts]
+            outcomes[backend] = [ctx.outcome for ctx in contexts]
         assert (
             outcomes["serial"]
             == outcomes["process"]
@@ -317,12 +265,11 @@ class TestSeededPipeline:
     def test_custom_stage_chain_still_executes_via_serial_fallback(self):
         repo = _repo("custom/project")
         pipeline = MeasurementPipeline(
-            {"custom/project": repo}.get,
-            PipelineConfig(jobs=2, executor="process"),
+            {"custom/project": repo}.get, PipelineConfig(jobs=2)
         )
         custom = MeasurementPipeline(
             {"custom/project": repo}.get,
-            PipelineConfig(jobs=2, executor="process"),
+            PipelineConfig(jobs=2),
             stages=pipeline.stages,
         )
         with pytest.warns(RuntimeWarning, match="process boundary"):
@@ -331,35 +278,12 @@ class TestSeededPipeline:
         assert custom.stats.partition["backend"] == "serial"
 
 
-@pytest.mark.slow
-class TestIngestThroughProcessBackend:
-    def test_ingest_store_content_hash_matches_serial(
-        self, small_corpus, tmp_path
-    ):
-        from repro.store import CorpusStore, ingest_corpus
-
-        hashes = {}
-        for executor in ("serial", "process"):
-            with CorpusStore(tmp_path / f"{executor}.db") as store:
-                report = ingest_corpus(
-                    store,
-                    small_corpus.activity,
-                    small_corpus.lib_io,
-                    small_corpus.provider,
-                    jobs=4,
-                    executor=executor,
-                )
-                assert report.measured > 0
-                hashes[executor] = store.content_hash()
-        assert hashes["serial"] == hashes["process"]
-
-
 class TestOnePoolPerIngestRun:
     """An ingest run forks one worker pool, whatever its chunk count,
     and leaves no worker behind when it returns or raises."""
 
     SPEC = StreamSpec(seed=3, count=13)
-    KNOBS = dict(jobs=2, executor="process", chunk_size=4)
+    KNOBS = dict(jobs=2, chunk_size=4)
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -424,7 +348,7 @@ class TestOnePoolPerIngestRun:
         with CorpusStore(tmp_path / "poisoned.db") as store:
             report = ingest_corpus(
                 store, corpus.activity, corpus.lib_io, repos.get,
-                jobs=2, executor="process", chunk_size=2,
+                jobs=2, chunk_size=2,
             )
             assert report.measured == 6
             assert multiprocessing.active_children() == []

@@ -18,6 +18,18 @@ SUBCOMMANDS = (
     "loadgen", "advise",
 )
 
+#: The positional arguments each subcommand requires.
+REQUIRED_ARGS = {"classify": ["v0.sql"], "advise": ["p.sql", "--project", "x"]}
+
+#: ``(command, flag)`` pairs argparse rejects: ``--jobs`` alone decides how
+#: projects run, and no command declares a shared flag it would ignore.
+PIPELINE_FLAGS = ("--jobs", "--cache-dir", "--stats", "--retries", "--deadline")
+UNDECLARED_FLAGS = [
+    *((command, "--executor") for command in SUBCOMMANDS),
+    *(("loadgen", flag) for flag in PIPELINE_FLAGS),
+    *(("advise", flag) for flag in (*PIPELINE_FLAGS, "--inject-faults", "--fault-seed")),
+]
+
 #: Documented schema of ``--stats`` / ``pipeline_stats.json`` payloads
 #: (see docs/API.md, "Observability").
 STATS_PAYLOAD_KEYS = {
@@ -92,7 +104,15 @@ class TestArgParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["funnel", "--executor", "thread"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        assert "unrecognized arguments: --executor thread" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", UNDECLARED_FLAGS)
+    def test_undeclared_flags_are_usage_errors(self, command, flag, capsys):
+        value = [] if flag == "--stats" else ["1"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *REQUIRED_ARGS.get(command, ()), flag, *value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCliContract:
@@ -237,6 +257,15 @@ class TestChaosFlags:
             assert failure["error"] == "InjectedFault"
             assert failure["attempts"] == 2
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_classify_injects_faults_into_its_pipeline(self, tmp_path, capsys):
+        sql = tmp_path / "schema.sql"
+        sql.write_text("CREATE TABLE t (a INT);")
+        argv = ["classify", str(sql), "--inject-faults", "1", "--fault-seed", "1", "--json"]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "measurement_failed"
+        assert error["detail"] == "InjectedFault"
 
     def test_retries_recover_injected_transient_faults(self, capsys):
         # fail_attempts is not CLI-exposed; prove recovery end-to-end by

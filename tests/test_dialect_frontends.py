@@ -23,6 +23,7 @@ from repro.mining.path_filters import (
     dialect_for_choice,
     vendor_preference,
 )
+from repro.pipeline import MeasurementPipeline, Outcome, ProjectTask
 from repro.schema import build_schema
 from repro.sqlddl import Dialect
 from repro.sqlddl.dialects import (
@@ -38,6 +39,7 @@ from repro.sqlddl.errors import UnsupportedDialectError
 from repro.sqlddl.parser import parse_script
 from repro.store import CorpusStore, STORE_SCHEMA_VERSION, ingest_stream
 from repro.synthesis.stream import StreamSpec
+from repro.vcs.repository import Repository
 
 
 # -- golden fixtures ---------------------------------------------------------
@@ -192,6 +194,29 @@ MYSQL_SCRIPTS = (
     "CREATE TABLE t (a INT); ALTER TABLE t ADD COLUMN b TEXT; DROP TABLE t;",
     "CREATE TABLE a (x INT, PRIMARY KEY (x)); RENAME TABLE a TO b;",
 )
+
+
+class TestPipelineScan:
+    """The collection scan parses through the task's frontend, as the
+    parse stage does; MySQL's grammar sees no table in either history."""
+
+    @pytest.mark.parametrize(
+        "dialect,versions,outcome",
+        [
+            ("sqlite", ("CREATE TABLE t (raw, n INT);", "CREATE TABLE t (raw, n INT, m);"),
+             Outcome.STUDIED),
+            ("postgresql", ("COPY t (a) FROM stdin;\n1;2\n\\.\n"
+                            "CREATE TABLE u (a integer DEFAULT 'x'::text);",), Outcome.RIGID),
+        ],
+    )
+    def test_scan_uses_the_task_dialect(self, dialect, versions, outcome):
+        repo = Repository("scan/project")
+        for day, text in enumerate(versions, 1):
+            repo.commit({"schema.sql": text.encode()}, "dev", day * 86_400, f"v{day}")
+        pipeline = MeasurementPipeline({repo.name: repo}.get)
+        for task_dialect, expected in ((dialect, outcome), ("mysql", Outcome.NO_CREATE)):
+            task = ProjectTask(repo.name, "schema.sql", dialect=task_dialect)
+            assert pipeline.run_project(task).outcome is expected
 
 
 class TestMySqlIdentity:

@@ -162,22 +162,28 @@ class TestFaultIsolation:
 
 @pytest.mark.slow
 class TestParallelDeterminism:
-    def test_reports_identical_across_job_counts(self, corpus):
-        serial = corpus.run_funnel(jobs=1)
-        parallel = corpus.run_funnel(jobs=4)
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory, corpus):
+        """One funnel run and export per job count, shared by both tests."""
+        reports, out = {}, {}
+        for jobs in (1, 4):
+            reports[jobs] = report = corpus.run_funnel(jobs=jobs)
+            analysis = analyze_corpus(report.studied + report.rigid)
+            out[jobs] = tmp_path_factory.mktemp(f"jobs{jobs}")
+            export_study(out[jobs], report, analysis)
+        return reports, out
+
+    def test_reports_identical_across_job_counts(self, runs):
+        reports, _ = runs
+        serial, parallel = reports[1], reports[4]
         assert [p.name for p in serial.studied] == [p.name for p in parallel.studied]
         assert [p.name for p in serial.rigid] == [p.name for p in parallel.rigid]
         for a, b in zip(serial.studied, parallel.studied):
             assert a.metrics == b.metrics
         assert serial.stage_rows() == parallel.stage_rows()
 
-    def test_exported_artifacts_byte_identical(self, tmp_path, corpus):
-        out = {}
-        for jobs in (1, 4):
-            report = corpus.run_funnel(jobs=jobs)
-            analysis = analyze_corpus(report.studied + report.rigid)
-            out[jobs] = tmp_path / f"jobs{jobs}"
-            export_study(out[jobs], report, analysis)
+    def test_exported_artifacts_byte_identical(self, runs):
+        _, out = runs
         files1 = sorted(p.relative_to(out[1]) for p in out[1].rglob("*") if p.is_file())
         files4 = sorted(p.relative_to(out[4]) for p in out[4].rglob("*") if p.is_file())
         assert files1 == files4 and files1

@@ -134,13 +134,16 @@ class TestHostileScripts:
         assert [s.name for s in statements if isinstance(s, CreateTable)] == ["a", "b"]
 
     def test_a_stray_paren_in_an_alter_option_ends_at_its_semicolon(self):
-        text = "CREATE TABLE t (a INT); ALTER TABLE t ENGINE=x); CREATE TABLE u (b INT);"
-        statements = parse_whole_script(text)
-        assert [s.name for s in statements if isinstance(s, CreateTable)] == ["t", "u"]
-        memo: parser_mod.StatementMemo = {}
-        assert parse_script(text, memo=memo) == statements
-        # The ALTER segment no longer reads past its ``;``, so it is stored.
-        assert (False, " ALTER TABLE t ENGINE=x);") in memo
+        for option in ("ENGINE=x)", "ENGINE=(x"):
+            alter = f" ALTER TABLE t {option};"
+            text = f"CREATE TABLE t (a INT);{alter} CREATE TABLE u (b INT);"
+            statements = parse_whole_script(text)
+            tables = [s.name for s in statements if isinstance(s, CreateTable)]
+            assert tables == ["t", "u"], text
+            memo: parser_mod.StatementMemo = {}
+            assert parse_script(text, memo=memo) == statements
+            # The ALTER segment does not read past its ``;``, so it is stored.
+            assert (False, alter) in memo
 
     def test_the_named_poisoning_pair(self):
         memo: parser_mod.StatementMemo = {}

@@ -37,8 +37,8 @@ from repro.synthesis.stream import (
 
 SPEC = StreamSpec(seed=2019, count=24, profile="light")
 
-#: ``(executor, jobs)`` pairs: the serial reference and the worker pool.
-EXECUTORS = {"serial": 1, "process": 2}
+#: Job counts by how they run: the calling thread (the reference), workers.
+JOBS = {"serial": 1, "process": 2}
 
 
 class TestStreamDeterminism:
@@ -109,16 +109,16 @@ class TestByteIdentity:
         spec = StreamSpec(seed=3, count=13)
         corpus = materialize_stream(spec)
         hashes, id_rows = set(), {}
-        for executor, jobs in EXECUTORS.items():
+        for jobs in JOBS.values():
             for source in ("stream", "corpus"):
                 for shards in (1, 3):
                     for chunk in (1, 4, 13, 50):
-                        path = tmp_path / f"{executor}-{source}-{shards}-{chunk}.db"
+                        path = tmp_path / f"{jobs}-{source}-{shards}-{chunk}.db"
                         store = (
                             CorpusStore(path) if shards == 1
                             else ShardedCorpusStore(path, shards=shards)
                         )
-                        knobs = dict(chunk_size=chunk, jobs=jobs, executor=executor)
+                        knobs = dict(chunk_size=chunk, jobs=jobs)
                         with store:
                             if source == "stream":
                                 ingest_stream(store, spec, **knobs)
@@ -133,7 +133,7 @@ class TestByteIdentity:
                                 tuple((p.id, p.name) for p in projects)
                             )
         assert len(hashes) == 1
-        # Row ids depend on neither the executor, the chunk size nor the layout.
+        # Row ids depend on neither the job count, the chunk size nor the layout.
         assert all(len(rows) == 1 for rows in id_rows.values())
 
     def test_sharded_matches_unsharded(self, tmp_path):
@@ -163,9 +163,9 @@ def _stream_record(spec, next_index, seed=None):
 
 
 class TestResume:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_reingest_measures_nothing(self, tmp_path, executor):
-        knobs = dict(chunk_size=8, jobs=EXECUTORS[executor], executor=executor)
+    @pytest.mark.parametrize("jobs", JOBS.values(), ids=JOBS)
+    def test_reingest_measures_nothing(self, tmp_path, jobs):
+        knobs = dict(chunk_size=8, jobs=jobs)
         with CorpusStore(tmp_path / "twice.db") as store:
             ingest_stream(store, SPEC, **knobs)
             first_hash = store.content_hash()
@@ -175,10 +175,10 @@ class TestResume:
             assert report.skipped_unchanged == SPEC.count
             assert store.content_hash() == first_hash
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_resume_mid_stream_from_checkpoint(self, tmp_path, executor):
+    @pytest.mark.parametrize("jobs", JOBS.values(), ids=JOBS)
+    def test_resume_mid_stream_from_checkpoint(self, tmp_path, jobs):
         spec = StreamSpec(seed=5, count=12)
-        knobs = dict(chunk_size=4, jobs=EXECUTORS[executor], executor=executor)
+        knobs = dict(chunk_size=4, jobs=jobs)
         with CorpusStore(tmp_path / "resume.db") as store:
             # First 7 projects land exactly as a crashed 12-project run
             # would have left them (names and seeds depend only on the
@@ -194,6 +194,17 @@ class TestResume:
         with CorpusStore(tmp_path / "clean.db") as clean:
             ingest_stream(clean, spec, chunk_size=4)
             assert clean.content_hash() == resumed_hash
+
+    def test_stored_fingerprint_bytes_are_pinned(self, tmp_path):
+        """Stored fingerprints must keep their bytes, or a re-ingest of an
+        existing store re-measures every project."""
+        spec = StreamSpec(seed=3, count=1)
+        with CorpusStore(tmp_path / "pinned.db") as store:
+            ingest_stream(store, spec)
+            (fingerprint,) = store.fingerprints([project_name(spec, 0)]).values()
+        assert fingerprint == (
+            "e08b6d5c5f35e726087f009459a3a0359fbfb8fabc57cbdbba4a252e4f092984"
+        )
 
     def test_checkpoint_of_a_different_stream_is_ignored(self, tmp_path):
         with CorpusStore(tmp_path / "foreign.db") as store:
@@ -276,6 +287,19 @@ class TestOneEngine:
         assert calls["get_project"] == 0
         assert calls["fingerprints"] <= 2 * 4  # two passes of four chunks
 
+    def test_deprecated_executor_keyword_changes_nothing(self, tmp_path):
+        spec = StreamSpec(seed=3, count=4)
+        with CorpusStore(tmp_path / "plain.db") as store:
+            ingest_stream(store, spec, jobs=2)
+            plain = store.content_hash()
+        with CorpusStore(tmp_path / "keyword.db") as store:
+            for unknown in ("gpu", "thread"):
+                with pytest.raises(ValueError, match="unknown executor"):
+                    ingest_stream(store, spec, executor=unknown)
+            with pytest.warns(DeprecationWarning, match="executor"):
+                ingest_stream(store, spec, jobs=2, executor="process")
+            assert store.content_hash() == plain
+
     def test_positional_config_is_rejected(self, tmp_path):
         from repro.mining.selection import SelectionCriteria
         from repro.vcs.history import LinearizationPolicy
@@ -292,17 +316,14 @@ class TestOneEngine:
 
 
 class TestBoundedMemory:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_python_peak_tracks_chunk_size_not_count(self, tmp_path, executor):
+    @pytest.mark.parametrize("jobs", JOBS.values(), ids=JOBS)
+    def test_python_peak_tracks_chunk_size_not_count(self, tmp_path, jobs):
         def peak(count: int) -> int:
             spec = StreamSpec(seed=13, count=count)
             with CorpusStore(tmp_path / f"mem{count}.db") as store:
                 tracemalloc.start()
                 try:
-                    ingest_stream(
-                        store, spec, chunk_size=10,
-                        jobs=EXECUTORS[executor], executor=executor,
-                    )
+                    ingest_stream(store, spec, chunk_size=10, jobs=jobs)
                     _, peak_bytes = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
