@@ -14,7 +14,6 @@ from repro.advisor.engine import (
     AdvisorError,
     MigrationPlan,
     advise,
-    canonical_schema,
     parse_proposal,
 )
 from repro.advisor.findings import (
@@ -32,7 +31,6 @@ __all__ = [
     "MigrationPlan",
     "SEVERITIES",
     "advise",
-    "canonical_schema",
     "evaluate_findings",
     "parse_proposal",
 ]

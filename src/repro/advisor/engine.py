@@ -20,8 +20,9 @@ text, the engine
 Both invariants the study's algebra guarantees are checked on every
 advised migration, not just in tests: ``apply_script(old, ops) ==
 proposed`` and ``apply_script(proposed, invert_script(ops)) == old``,
-compared via :func:`canonical_schema` (table/attribute order carries no
-identity in the model).
+compared under :meth:`Schema.canonical` — the identity the study
+matches versions by: tables and attributes by case-insensitive name,
+a primary key by its member set, position carrying none.
 """
 
 from __future__ import annotations
@@ -46,31 +47,6 @@ from repro.smo import (
 
 class AdvisorError(Exception):
     """The proposal cannot be advised on (bad DDL, empty schema, ...)."""
-
-
-def canonical_schema(schema: Schema) -> Schema:
-    """*schema* with tables and attributes in canonical (name) order.
-
-    Table and attribute identity is the case-insensitive name
-    (:mod:`repro.schema.model`); position only reflects file order and
-    carries no meaning, so the algebra's round-trip invariants are
-    checked on this projection — ``apply_script`` appends added columns
-    at the end, which must compare equal to a proposal declaring the
-    same column mid-table.
-    """
-    from dataclasses import replace
-
-    return Schema(
-        tables=tuple(
-            replace(
-                table,
-                attributes=tuple(
-                    sorted(table.attributes, key=lambda a: a.key)
-                ),
-            )
-            for table in sorted(schema.tables, key=lambda t: t.key)
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -197,16 +173,11 @@ def advise(
     base = versions[-1]
     old = base.schema
     operations = tuple(infer_smos(old, proposed))
-    canonical_old = canonical_schema(old)
-    canonical_new = canonical_schema(proposed)
-    if canonical_schema(apply_script(old, operations)) != canonical_new:
+    if apply_script(old, operations).canonical() != proposed.canonical():
         raise AdvisorError(
             "SMO inference does not reproduce the proposal"
         )  # pragma: no cover - the algebra guarantees this
-    if (
-        canonical_schema(apply_script(proposed, invert_script(operations)))
-        != canonical_old
-    ):
+    if apply_script(proposed, invert_script(operations)).canonical() != old.canonical():
         raise AdvisorError(
             "the inverted script does not restore the base schema"
         )  # pragma: no cover - the algebra guarantees this

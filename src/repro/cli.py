@@ -202,8 +202,10 @@ class RunOptions:
             parser.add_argument(
                 "--inject-faults", type=float, default=0.0, dest="fault_rate",
                 metavar="RATE",
-                help="chaos mode: deterministically fail RATE of projects at the"
-                     " parse/persist sites (seeded by --fault-seed)",
+                help="chaos mode: deterministically fail RATE of the work at the"
+                     " sites the command arms: projects at the parse/persist"
+                     " sites for corpus commands, requests at the request site"
+                     " for loadgen (seeded by --fault-seed)",
             )
             parser.add_argument(
                 "--fault-seed", type=int, default=2019, metavar="N",

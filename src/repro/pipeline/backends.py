@@ -12,10 +12,12 @@ ran ``--jobs 4`` at 0.75x serial on this CPU-bound workload).  Both
   one of two kinds of material.  A :class:`ProjectMaterial` is a task
   the parent resolved: its repository via the provider (or the
   pipeline's seed map), plus the usable version list when ingest
-  already extracted it; workers never see the provider.  A provider
-  that *raises* in the parent is re-run inside ``run_project`` in the
-  parent process so its failure keeps the exact in-thread retry
-  semantics.  A stream material is an index: the slice ships a
+  already extracted it; workers never see the provider.  A task whose
+  provider call *raises* in the parent runs through ``run_project`` in
+  the parent process, where that failed call stands as the provider
+  call of its first attempt, so outcomes, attempts, retry counters and
+  provider calls match the calling-thread path.  A stream material is
+  an index: the slice ships a
   picklable :class:`MaterialSource` (the stream spec, the indices and
   the store's fingerprints of their names), and the worker synthesizes,
   extracts and fingerprints each project itself, drops the unchanged
@@ -89,7 +91,7 @@ from repro.vcs.repository import Repository
 if TYPE_CHECKING:  # circular at runtime: pipeline.py imports this module
     from repro.obs.metrics import MetricsRegistry
     from repro.pipeline.cache import SchemaCache
-    from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
+    from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig, RepoProvider
 
 # -- the work units crossing the process boundary --------------------------
 
@@ -470,7 +472,10 @@ def run_on_workers(
 ) -> list[ProjectContext]:
     """Run *tasks* on ``pipeline.config.jobs`` worker processes, one
     slice per chunk of *chunks*; contexts come back in input order."""
+    from repro.pipeline.pipeline import MeasurementPipeline
+
     materials: list[ProjectMaterial | None] = []
+    unresolved: dict[int, Exception] = {}  # the provider raised in the parent
     seeds = pipeline.seeds
     for index, task in enumerate(tasks):
         if seeds is not None:
@@ -481,8 +486,9 @@ def run_on_workers(
             materials.append(
                 ProjectMaterial(index, task, pipeline.provider(task.repo_name))
             )
-        except Exception:
-            materials.append(None)  # re-run inline below
+        except Exception as exc:
+            materials.append(None)
+            unresolved[index] = exc
     work = [
         WorkerChunk(chunk_id, pipeline.config, shipped)
         for chunk_id, (start, stop) in enumerate(chunks)
@@ -491,9 +497,24 @@ def run_on_workers(
     with WorkerPool(max(1, pipeline.config.jobs), pipeline.stats.registry) as pool:
         contexts, _ = pool.results(pool.submit(work), pipeline.cache)
     results = dict(contexts)
-    for index, material in enumerate(materials):
-        if material is None:
-            # The provider raised during resolution; run_project re-runs
-            # it here so retry/failure semantics match the in-thread path.
-            results[index] = pipeline.run_project(tasks[index])
+    for index, error in unresolved.items():
+        inline = MeasurementPipeline(
+            _raising_first(pipeline.provider, error), pipeline.config, pipeline.cache
+        )
+        inline.stats = pipeline.stats
+        results[index] = inline.run_project(tasks[index])
     return [results[index] for index in range(len(tasks))]
+
+
+def _raising_first(provider: "RepoProvider", error: Exception) -> "RepoProvider":
+    """*provider*, except that its first call raises *error*: the call
+    that already failed in the parent, replayed where the calling-thread
+    path makes it."""
+    pending = [error]
+
+    def resolve(name: str) -> Repository | None:
+        if pending:
+            raise pending.pop()
+        return provider(name)
+
+    return resolve

@@ -238,8 +238,10 @@ class MeasurementPipeline:
         contents rather than a repository) enters the pipeline here:
         a single-commit-per-version repository is synthesized so the
         ordinary extract stage — and with it the schema cache — serves
-        the request.
+        the request.  The call counts as a one-project run in
+        :attr:`stats`.
         """
+        started = time.perf_counter()
         repo = Repository(name)
         for oid, timestamp, text in versions:
             repo.commit(
@@ -261,4 +263,12 @@ class MeasurementPipeline:
             ),
         )
         one_shot.stats = self.stats  # timings accrue to the shared run
-        return one_shot.run_project(ProjectTask(name, ddl_path, domain))
+        ctx = one_shot.run_project(ProjectTask(name, ddl_path, domain))
+        failed = int(ctx.outcome is Outcome.FAILED)
+        self.stats.note_run(
+            projects=1,
+            completed=1 - failed,
+            failures=failed,
+            wall_seconds=time.perf_counter() - started,
+        )
+        return ctx

@@ -111,11 +111,36 @@ class _WorkingTable:
         position = self.positions.get(name.lower())
         return None if position is None else self.slots[position]
 
+    def add(self, attribute: Attribute, into_primary_key: bool) -> None:
+        """Append *attribute*, whose name is free; it joins the key too
+        when *into_primary_key*."""
+        self.positions[attribute.key] = len(self.slots)
+        self.slots.append(attribute)
+        if into_primary_key:
+            self.primary_key.append(attribute.name)
+
+    def drop(self, key: str) -> bool:
+        """Remove column *key* (lower-cased), from the key too; False if
+        there is none."""
+        position = self.positions.pop(key, None)
+        if position is None:
+            return False
+        self.slots[position] = None
+        self.primary_key = [c for c in self.primary_key if c.lower() != key]
+        return True
+
     def replace(self, old: Attribute, new: Attribute) -> None:
         """Put *new* in *old*'s position."""
         position = self.positions.pop(old.key)
         self.slots[position] = new
         self.positions[new.key] = position
+
+    def rename(self, old: Attribute, new: Attribute) -> None:
+        """:meth:`replace`, and rename *old* to *new* in the key."""
+        self.replace(old, new)
+        self.primary_key = [
+            new.name if c.lower() == old.key else c for c in self.primary_key
+        ]
 
     def freeze(self) -> Table:
         attributes = tuple(a for a in self.slots if a is not None)
@@ -172,20 +197,12 @@ def _apply_alter_action(table: _WorkingTable, action: AlterAction, lenient: bool
             raise SchemaBuildError(
                 f"column {action.column.name!r} already exists in {table.name!r}"
             )
-        attribute = _attribute_from_column(action.column)
-        table.positions[attribute.key] = len(table.slots)
-        table.slots.append(attribute)
-        if action.column.is_primary_key:
-            table.primary_key.append(action.column.name)
+        table.add(_attribute_from_column(action.column), action.column.is_primary_key)
     elif kind is AlterKind.DROP_COLUMN and action.old_name is not None:
-        lowered = action.old_name.lower()
-        position = table.positions.pop(lowered, None)
-        if position is None:
+        if not table.drop(action.old_name.lower()):
             if lenient:
                 return
             raise SchemaBuildError(f"unknown column {action.old_name!r} in {table.name!r}")
-        table.slots[position] = None
-        table.primary_key = [c for c in table.primary_key if c.lower() != lowered]
     elif kind is AlterKind.MODIFY_COLUMN and action.column is not None:
         existing = table.attribute(action.column.name)
         if existing is None:
@@ -211,10 +228,7 @@ def _apply_alter_action(table: _WorkingTable, action: AlterAction, lenient: bool
             raise SchemaBuildError(
                 f"column {renamed.name!r} already exists in {table.name!r}"
             )
-        table.replace(existing, renamed)
-        table.primary_key = [
-            renamed.name if c.lower() == existing.key else c for c in table.primary_key
-        ]
+        table.rename(existing, renamed)
     elif kind is AlterKind.ADD_CONSTRAINT and action.constraint is not None:
         if action.constraint.kind is ConstraintKind.PRIMARY_KEY:
             table.primary_key = list(action.constraint.columns)
@@ -286,6 +300,11 @@ def apply_statements(
         elif isinstance(statement, IgnoredStatement):
             if report is not None:
                 report.note_ignored(statement.verb)
+    return _freeze(tables)
+
+
+def _freeze(tables: _Tables) -> Schema:
+    """The one :class:`Schema` a replay ends with."""
     return Schema(
         tuple(
             entry.freeze() if isinstance(entry, _WorkingTable) else entry

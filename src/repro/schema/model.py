@@ -130,34 +130,6 @@ class Schema:
         """Mapping of lowercase table name -> Table."""
         return {t.key: t for t in self.tables}
 
-    def with_table(self, table: Table) -> "Schema":
-        """Return a new schema with *table* appended (must not exist)."""
-        if self.table(table.name) is not None:
-            raise ValueError(f"table {table.name!r} already exists")
-        return Schema(self.tables + (table,))
-
-    def replace_table(self, table: Table) -> "Schema":
-        """Return a new schema with the same-named table replaced."""
-        replaced = False
-        tables: list[Table] = []
-        for candidate in self.tables:
-            if candidate.key == table.key:
-                tables.append(table)
-                replaced = True
-            else:
-                tables.append(candidate)
-        if not replaced:
-            raise ValueError(f"table {table.name!r} does not exist")
-        return Schema(tuple(tables))
-
-    def without_table(self, name: str) -> "Schema":
-        """Return a new schema with the named table removed."""
-        lowered = name.lower()
-        remaining = tuple(t for t in self.tables if t.key != lowered)
-        if len(remaining) == len(self.tables):
-            raise ValueError(f"table {name!r} does not exist")
-        return Schema(remaining)
-
     def canonical(self) -> tuple:
         """Order-independent normal form.
 

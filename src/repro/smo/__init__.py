@@ -21,7 +21,7 @@ from repro.smo.operations import (
     SmoOperation,
 )
 from repro.smo.infer import infer_smos
-from repro.smo.apply import apply_smo, apply_script
+from repro.smo.apply import apply_script
 from repro.smo.invert import invert_smo, invert_script
 from repro.smo.render import render_script, render_smo
 
@@ -37,7 +37,6 @@ __all__ = [
     "SmoError",
     "SmoOperation",
     "apply_script",
-    "apply_smo",
     "infer_smos",
     "invert_script",
     "invert_smo",

@@ -1,10 +1,18 @@
-"""Apply SMO operations to schema versions."""
+"""Apply SMO scripts to schema versions.
+
+A script replays on the DDL builder's working tables (one dict by
+lower-cased name, columns edited in place, one :class:`Schema` frozen
+at the end), so it costs time linear in its operations.  Unlike the
+lenient DDL replay, each operation checks its preconditions: SMO
+scripts are precise artifacts, not mined noise.
+"""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.schema.model import Attribute, Schema, Table
+from repro.schema.builder import _freeze, _rename_table, _Tables, _working, _WorkingTable
+from repro.schema.model import Attribute, Schema
 from repro.smo.operations import (
     AddColumn,
     ChangeColumnType,
@@ -19,99 +27,87 @@ from repro.smo.operations import (
 )
 
 
-def _require_table(schema: Schema, name: str) -> Table:
-    table = schema.table(name)
-    if table is None:
+def _require_key(tables: _Tables, name: str) -> str:
+    key = name.lower()
+    if key not in tables:
         raise SmoError(f"no table {name!r} in schema")
-    return table
+    return key
 
 
-def _require_attribute(table: Table, name: str) -> Attribute:
+def _require_table(tables: _Tables, name: str) -> _WorkingTable:
+    return _working(tables, _require_key(tables, name))
+
+
+def _require_attribute(table: _WorkingTable, name: str) -> Attribute:
     attribute = table.attribute(name)
     if attribute is None:
         raise SmoError(f"no column {name!r} in table {table.name!r}")
     return attribute
 
 
-def apply_smo(schema: Schema, op: SmoOperation) -> Schema:
-    """Apply one operation, returning the new schema version.
-
-    Raises :class:`SmoError` for inapplicable operations (unknown
-    table/column, duplicate names) — SMO scripts are precise artifacts,
-    not mined noise, so there is no lenient mode here.
-    """
+def _apply(tables: _Tables, op: SmoOperation) -> None:
+    """Apply one operation to the working *tables*."""
     if isinstance(op, CreateTableOp):
-        if schema.table(op.table.name) is not None:
+        if op.table.key in tables:
             raise SmoError(f"table {op.table.name!r} already exists")
-        return schema.with_table(op.table)
-    if isinstance(op, DropTableOp):
-        _require_table(schema, op.table.name)
-        return schema.without_table(op.table.name)
-    if isinstance(op, RenameTable):
-        table = _require_table(schema, op.old_name)
-        if schema.table(op.new_name) is not None:
+        tables[op.table.key] = op.table
+    elif isinstance(op, DropTableOp):
+        del tables[_require_key(tables, op.table.name)]
+    elif isinstance(op, RenameTable):
+        _require_key(tables, op.old_name)
+        if op.new_name.lower() in tables:  # a case-only rename included
             raise SmoError(f"table {op.new_name!r} already exists")
-        renamed = Table(op.new_name, table.attributes, table.primary_key)
-        return schema.without_table(op.old_name).with_table(renamed)
-    if isinstance(op, AddColumn):
-        table = _require_table(schema, op.table_name)
+        _rename_table(tables, op.old_name, op.new_name, lenient=False)
+    elif isinstance(op, AddColumn):
+        table = _require_table(tables, op.table_name)
         if table.attribute(op.attribute.name) is not None:
             raise SmoError(
                 f"column {op.attribute.name!r} already exists in {table.name!r}"
             )
-        pk = table.primary_key
-        if op.into_primary_key:
-            pk = pk + (op.attribute.name,)
-        return schema.replace_table(
-            Table(table.name, table.attributes + (op.attribute,), pk)
-        )
-    if isinstance(op, DropColumn):
-        table = _require_table(schema, op.table_name)
-        attribute = _require_attribute(table, op.attribute.name)
-        remaining = tuple(a for a in table.attributes if a.key != attribute.key)
-        pk = tuple(c for c in table.primary_key if c.lower() != attribute.key)
-        return schema.replace_table(Table(table.name, remaining, pk))
-    if isinstance(op, RenameColumn):
-        table = _require_table(schema, op.table_name)
+        table.add(op.attribute, op.into_primary_key)
+    elif isinstance(op, DropColumn):
+        table = _require_table(tables, op.table_name)
+        table.drop(_require_attribute(table, op.attribute.name).key)
+    elif isinstance(op, RenameColumn):
+        table = _require_table(tables, op.table_name)
         attribute = _require_attribute(table, op.old_name)
-        if table.attribute(op.new_name) is not None:
+        if table.attribute(op.new_name) is not None:  # a case-only rename included
             raise SmoError(f"column {op.new_name!r} already exists in {table.name!r}")
-        renamed = Attribute(op.new_name, attribute.data_type, attribute.nullable)
-        attributes = tuple(
-            renamed if a.key == attribute.key else a for a in table.attributes
+        table.rename(
+            attribute, Attribute(op.new_name, attribute.data_type, attribute.nullable)
         )
-        pk = tuple(
-            op.new_name if c.lower() == attribute.key else c for c in table.primary_key
-        )
-        return schema.replace_table(Table(table.name, attributes, pk))
-    if isinstance(op, ChangeColumnType):
-        table = _require_table(schema, op.table_name)
+    elif isinstance(op, ChangeColumnType):
+        table = _require_table(tables, op.table_name)
         attribute = _require_attribute(table, op.column_name)
         if attribute.data_type != op.old_type:
             raise SmoError(
                 f"type precondition failed for {op.column_name!r}: "
                 f"expected {op.old_type}, found {attribute.data_type}"
             )
-        changed = Attribute(attribute.name, op.new_type, attribute.nullable)
-        attributes = tuple(
-            changed if a.key == attribute.key else a for a in table.attributes
+        table.replace(
+            attribute, Attribute(attribute.name, op.new_type, attribute.nullable)
         )
-        return schema.replace_table(Table(table.name, attributes, table.primary_key))
-    if isinstance(op, SetPrimaryKey):
-        table = _require_table(schema, op.table_name)
-        if table.pk_key != tuple(sorted(c.lower() for c in op.old_key)):
+    elif isinstance(op, SetPrimaryKey):
+        table = _require_table(tables, op.table_name)
+        if sorted(c.lower() for c in table.primary_key) != sorted(
+            c.lower() for c in op.old_key
+        ):
             raise SmoError(
                 f"PK precondition failed for {table.name!r}: expected "
-                f"{op.old_key}, found {table.primary_key}"
+                f"{op.old_key}, found {tuple(table.primary_key)}"
             )
         for column in op.new_key:
             _require_attribute(table, column)
-        return schema.replace_table(Table(table.name, table.attributes, op.new_key))
-    raise SmoError(f"unknown operation {op!r}")  # pragma: no cover
+        table.primary_key = list(op.new_key)
+    else:  # pragma: no cover
+        raise SmoError(f"unknown operation {op!r}")
 
 
 def apply_script(schema: Schema, script: Iterable[SmoOperation]) -> Schema:
-    """Apply a whole operation sequence in order."""
+    """Apply an operation sequence in order, returning the new schema
+    version (*schema* itself never changes); raises :class:`SmoError`
+    at the first inapplicable operation."""
+    tables: _Tables = {table.key: table for table in schema.tables}
     for op in script:
-        schema = apply_smo(schema, op)
-    return schema
+        _apply(tables, op)
+    return _freeze(tables)

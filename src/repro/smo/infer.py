@@ -2,10 +2,10 @@
 
 The inferred script has two contracts, both property-tested:
 
-1. *Faithfulness*: ``apply_script(old, infer_smos(old, new)) == new``
-   (up to table order, which the schema model preserves insertion-wise
-   — inferred creations are appended, matching a file that appends new
-   tables at the end).
+1. *Faithfulness*: ``apply_script(old, infer_smos(old, new))`` equals
+   ``new`` under :meth:`~repro.schema.model.Schema.canonical` (position
+   carries no identity: inferred creations are appended, matching a
+   file that appends new tables at the end, and so are added columns).
 2. *Cost agreement*: the script's total cost equals the study's
    activity for that transition — the operation algebra and the diff
    counter measure the same thing.

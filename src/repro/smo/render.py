@@ -7,17 +7,19 @@ the SMO application produces (property-tested).
 
 ``render_script`` needs the base schema: a column addition that joins
 the primary key has no single-statement SQL form, so the renderer
-simulates the script and emits an explicit key rewrite with the full
-resulting key — exactly what a real migration tool would generate.
+replays the script as :func:`~repro.smo.apply.apply_script` does and
+emits an explicit key rewrite with the full resulting key — exactly
+what a real migration tool would generate.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.schema.builder import _Tables
 from repro.schema.model import Schema
 from repro.schema.writer import render_column, render_create_table
-from repro.smo.apply import apply_smo
+from repro.smo.apply import _apply, _require_table
 from repro.smo.operations import (
     AddColumn,
     ChangeColumnType,
@@ -79,23 +81,24 @@ def render_smo(op: SmoOperation) -> str:
 def render_script(script: Iterable[SmoOperation], base: Schema) -> str:
     """The whole migration as one SQL script, resolved against *base*.
 
-    The script is simulated operation by operation; whenever a column
-    addition joins the primary key, an explicit key rewrite with the
-    full post-operation key follows the ADD COLUMN.
+    The script replays on *base*'s working tables, raising
+    :class:`SmoError` where :func:`~repro.smo.apply.apply_script` would;
+    whenever a column addition joins the primary key, an explicit key
+    rewrite with the table's full key after the addition follows the
+    ADD COLUMN.
     """
     statements: list[str] = []
-    schema = base
+    tables: _Tables = {table.key: table for table in base.tables}
     for op in script:
-        before = schema
-        schema = apply_smo(schema, op)
-        statements.append(render_smo(op))
         if isinstance(op, AddColumn) and op.into_primary_key:
-            old_table = before.table(op.table_name)
-            new_table = schema.table(op.table_name)
-            assert old_table is not None and new_table is not None
+            table = _require_table(tables, op.table_name)
+            before = tuple(table.primary_key)
+            _apply(tables, op)
+            statements.append(render_smo(op))
             statements.append(
-                _key_rewrite(
-                    op.table_name, old_table.primary_key, new_table.primary_key
-                )
+                _key_rewrite(op.table_name, before, tuple(table.primary_key))
             )
+        else:
+            _apply(tables, op)
+            statements.append(render_smo(op))
     return "\n".join(statements) + ("\n" if statements else "")

@@ -20,7 +20,6 @@ from repro.advisor import (
     AdvisorError,
     MASS_INJECTION_THRESHOLD,
     advise,
-    canonical_schema,
     evaluate_findings,
     parse_proposal,
 )
@@ -100,12 +99,11 @@ class TestEngine:
             ops = advice.migration.operations
             # Compared canonically: attribute/table position carries no
             # identity in the model, and apply_script appends columns.
-            assert canonical_schema(apply_script(old, ops)) == canonical_schema(
-                proposed
+            assert apply_script(old, ops).canonical() == proposed.canonical()
+            assert (
+                apply_script(proposed, invert_script(ops)).canonical()
+                == old.canonical()
             )
-            assert canonical_schema(
-                apply_script(proposed, invert_script(ops))
-            ) == canonical_schema(old)
 
     def test_versioned_registry_discipline(self, seeded_store):
         history, base_ddl = latest_ddl(seeded_store, "ok/beta")
@@ -133,6 +131,30 @@ class TestEngine:
         assert advice.migration.operations == ()
         assert advice.diff.activity == 0
         assert not advice.atypical
+
+    @pytest.mark.parametrize(
+        "proposal, operations",
+        [
+            ("CREATE TABLE T (a INT, x INT, y INT, PRIMARY KEY (a));", 0),
+            ("CREATE TABLE t (A INT, x INT, y INT, PRIMARY KEY (A));", 0),
+            ("CREATE TABLE t (b INT, a INT, x INT, y INT, PRIMARY KEY (b, a));", 1),
+        ],
+        ids=["table-case", "column-case", "new-key-column-first"],
+    )
+    def test_names_match_case_insensitively_and_keys_as_sets(
+        self, proposal, operations
+    ):
+        """The study's identity: a case-only change is no change, and a
+        key is its member set, so each proposal gets advice."""
+        from repro.pipeline import MeasurementPipeline
+
+        base = "CREATE TABLE t (a INT, x INT, y INT, PRIMARY KEY (a));"
+        ctx = MeasurementPipeline(lambda _: None).measure_versions(
+            "case/key", "schema.sql", [("v0", 0, base)]
+        )
+        advice = advise(ctx.project, proposal, 1)
+        assert len(advice.migration.operations) == operations
+        assert advice.diff.activity == operations
 
     def test_parse_proposal_rejections(self):
         with pytest.raises(AdvisorError, match="non-empty"):

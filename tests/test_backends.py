@@ -219,6 +219,55 @@ class TestWorkerResilience:
         assert {f["stage"] for f in results["process"]} == {"extract"}
         assert {f["attempts"] for f in results["process"]} == {3}
 
+    def test_a_provider_failing_once_counts_that_call_at_every_job_count(self):
+        repos = {name: _repo(name) for name in ("ok/first", "ok/second")}
+        runs = {}
+        for retries in (1, 2):
+            for jobs in (1, 2):
+                calls: dict[str, int] = {}
+
+                def provider(name):
+                    calls[name] = calls.get(name, 0) + 1
+                    if calls[name] == 1:
+                        raise ConnectionError(f"clone of {name} refused")
+                    return repos[name]
+
+                pipeline = MeasurementPipeline(
+                    provider,
+                    PipelineConfig(
+                        jobs=jobs,
+                        retry=RetryPolicy(
+                            max_attempts=retries, base_delay=0.0, max_delay=0.0
+                        ),
+                    ),
+                )
+                contexts = pipeline.run(_tasks(sorted(repos)))
+                runs[retries, jobs] = (
+                    [
+                        (
+                            ctx.outcome,
+                            ctx.attempts,
+                            ctx.failure.payload() if ctx.failure else None,
+                        )
+                        for ctx in contexts
+                    ],
+                    pipeline.stats.retries,
+                    pipeline.stats.recovered,
+                    calls,
+                )
+            assert runs[retries, 1] == runs[retries, 2]
+        failed, *_ = runs[1, 1]
+        assert [(outcome, attempts) for outcome, attempts, _ in failed] == [
+            (Outcome.FAILED, 1)
+        ] * 2
+        recovered, retried, recovered_count, calls = runs[2, 1]
+        assert [(outcome, attempts) for outcome, attempts, _ in recovered] == [
+            (Outcome.STUDIED, 2)
+        ] * 2
+        assert (retried, recovered_count, calls) == (
+            2, 2, {"ok/first": 2, "ok/second": 2}
+        )
+
     def test_unpicklable_repo_falls_back_to_inline_execution(self):
         class UnpicklableRepo(Repository):
             def __reduce__(self):

@@ -1,11 +1,16 @@
 """Tests for replaying DDL scripts into logical schemata."""
 
 import time
+from functools import partial
 
 import pytest
 
-from repro.schema import Schema, build_schema
+from repro.schema import Attribute, Schema, Table, build_schema
 from repro.schema.builder import BuildReport, SchemaBuildError
+from repro.smo import AddColumn, CreateTableOp, apply_script
+from repro.sqlddl.types import DataType
+
+INT = DataType("INT")
 
 
 class TestCreate:
@@ -276,35 +281,69 @@ class TestReport:
 
 
 class TestLinearReplay:
-    """``build_schema`` time grows linearly in statements: about 2x per
-    doubling, where a replay that rebuilds the schema per statement
-    reads 3 to 5."""
+    """Replay time grows linearly in statements or operations: about 2x
+    per doubling, where a replay that rebuilds the schema per statement
+    or operation reads 3 to 5.  Each case is ``(make_call, n)``:
+    ``make_call(n)`` builds the input outside the timed region and
+    returns the call to time; n is large enough that one call takes
+    about 20 ms or more."""
 
     @staticmethod
-    def best_of_three(text: str) -> float:
+    def best_of_three(call) -> float:
         times = []
         for _ in range(3):
             started = time.perf_counter()
-            build_schema(text)
+            call()
             times.append(time.perf_counter() - started)
         return min(times)
 
     @pytest.mark.parametrize(
-        "script",
+        "make_call, n",
         [
-            lambda n: "".join(f"CREATE TABLE t{i} (c INT);\n" for i in range(n)),
-            lambda n: "CREATE TABLE t (c INT);\n"
-            + "".join(f"ALTER TABLE t ADD COLUMN c{i} INT;\n" for i in range(n)),
+            (
+                lambda n: partial(
+                    build_schema,
+                    "".join(f"CREATE TABLE t{i} (c INT);\n" for i in range(n)),
+                ),
+                2000,
+            ),
+            (
+                lambda n: partial(
+                    build_schema,
+                    "CREATE TABLE t (c INT);\n"
+                    + "".join(f"ALTER TABLE t ADD COLUMN c{i} INT;\n" for i in range(n)),
+                ),
+                2000,
+            ),
+            (
+                lambda n: partial(
+                    apply_script,
+                    Schema(),
+                    [
+                        CreateTableOp(Table(f"t{i}", (Attribute("c", INT),)))
+                        for i in range(n)
+                    ],
+                ),
+                16000,
+            ),
+            (
+                lambda n: partial(
+                    apply_script,
+                    Schema((Table("t", (Attribute("c", INT),)),)),
+                    [AddColumn("t", Attribute(f"c{i}", INT)) for i in range(n)],
+                ),
+                16000,
+            ),
         ],
-        ids=["creates", "add-columns"],
+        ids=["creates", "add-columns", "smo-creates", "smo-add-columns"],
     )
-    def test_doubling_the_statements_at_most_doubles_the_time(self, script):
-        n = 2000
+    def test_doubling_the_statements_at_most_doubles_the_time(self, make_call, n):
+        once, twice = make_call(n), make_call(2 * n)
         ratios = []
         # A busy host can stretch one best-of-3 past 2.5; a quadratic
         # replay stays above 3 on every attempt.
         for _ in range(3):
-            ratios.append(self.best_of_three(script(2 * n)) / self.best_of_three(script(n)))
+            ratios.append(self.best_of_three(twice) / self.best_of_three(once))
             if ratios[-1] < 2.5:
                 break
         assert ratios[-1] < 2.5, ratios

@@ -7,6 +7,7 @@ shared :class:`~repro.cli.RunOptions` flags are accepted uniformly,
 """
 
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,19 @@ class TestClassify:
         assert "me/app" in out
         assert "almost frozen" in out
         assert "total activity: 2" in out
+
+    def test_classify_stats_count_the_one_measured_project(self, tmp_path, capsys):
+        paths = []
+        for index in range(2):
+            columns = ", ".join(f"c{c} INT" for c in range(index + 5))
+            path = tmp_path / f"v{index}.sql"
+            path.write_text("".join(f"CREATE TABLE t{t} ({columns});" for t in range(200)))
+            paths.append(str(path))
+        assert main(["classify", *paths, "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "pipeline: 1 projects, jobs=1, 0 failed" in out
+        wall = re.search(r"^wall (\d+\.\d+)s", out, re.MULTILINE)
+        assert wall is not None and float(wall.group(1)) > 0
 
     def test_classify_large_shot(self, tmp_path, capsys):
         v0 = tmp_path / "v0.sql"
@@ -138,6 +152,14 @@ class TestCliContract:
             assert flag in out, f"{command} lacks {flag}"
         if command != "classify":  # bring-your-own-history: no corpus knobs
             assert "--seed" in out and "--scale" in out
+
+    def test_fault_help_names_the_sites_each_command_arms(self, capsys):
+        for command in ("funnel", "classify", "ingest", "loadgen"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            assert "parse/persist sites for corpus commands" in out, command
+            assert "request site for loadgen" in out, command
 
     def test_serve_has_timeout_and_json_flags(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,8 +1,11 @@
 """Tests for the logical schema model."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.schema import Attribute, Schema, Table
+from repro.smo import AddColumn, CreateTableOp, DropTableOp, SmoError, apply_script
 from repro.sqlddl.types import DataType
 
 INT = DataType("INT")
@@ -81,35 +84,38 @@ class TestSchema:
         assert "posts" not in schema
         assert 42 not in schema
 
+    # A schema gains, loses or edits a table only through an SMO script,
+    # which replays on the builder's working tables and freezes once.
     def test_with_table(self):
-        schema = Schema((table("a", "x"),)).with_table(table("b", "y"))
+        schema = apply_script(Schema((table("a", "x"),)), [CreateTableOp(table("b", "y"))])
         assert schema.table_names == ("a", "b")
 
     def test_with_table_rejects_duplicate(self):
         schema = Schema((table("a", "x"),))
-        with pytest.raises(ValueError):
-            schema.with_table(table("A", "y"))
+        with pytest.raises(SmoError, match="table 'A' already exists"):
+            apply_script(schema, [CreateTableOp(table("A", "y"))])
 
     def test_without_table(self):
-        schema = Schema((table("a", "x"), table("b", "y"))).without_table("A")
-        assert schema.table_names == ("b",)
+        schema = Schema((table("a", "x"), table("b", "y")))
+        assert apply_script(schema, [DropTableOp(table("A", "x"))]).table_names == ("b",)
 
     def test_without_missing_table_raises(self):
-        with pytest.raises(ValueError):
-            Schema().without_table("ghost")
+        with pytest.raises(SmoError, match="no table 'ghost' in schema"):
+            apply_script(Schema(), [DropTableOp(table("ghost", "x"))])
 
     def test_replace_table(self):
-        schema = Schema((table("a", "x"),)).replace_table(table("a", "x", "y"))
+        schema = apply_script(Schema((table("a", "x"),)), [AddColumn("a", Attribute("y", INT))])
         assert len(schema.table("a")) == 2
 
     def test_replace_missing_table_raises(self):
-        with pytest.raises(ValueError):
-            Schema().replace_table(table("a", "x"))
+        with pytest.raises(SmoError, match="no table 'ghost' in schema"):
+            apply_script(Schema(), [AddColumn("ghost", Attribute("y", INT))])
 
     def test_replace_preserves_position(self):
         schema = Schema((table("a", "x"), table("b", "y"), table("c", "z")))
-        replaced = schema.replace_table(table("b", "y", "w"))
+        replaced = apply_script(schema, [AddColumn("B", Attribute("w", INT))])
         assert replaced.table_names == ("a", "b", "c")
+        assert replaced.table("b").attribute_names == ("y", "w")
 
     def test_by_key(self):
         schema = Schema((table("Users", "id"),))
@@ -120,5 +126,6 @@ class TestSchema:
 
     def test_immutability(self):
         schema = Schema((table("a", "x"),))
-        schema.with_table(table("b", "y"))
+        with pytest.raises(FrozenInstanceError):
+            schema.tables = (table("b", "y"),)
         assert schema.table_names == ("a",)  # original untouched

@@ -936,6 +936,32 @@ class TestWritePath:
             "list-1", "list-2"
         ]
 
+    def test_wide_proposals_answer_in_time_and_trip_nothing(
+        self, write_server, monkeypatch
+    ):
+        """Three distinct 43 KB proposals, each adding 4,000 columns to
+        one table, answer 200 under the default timeout; the store
+        breaker records no failure, so GETs keep answering fresh."""
+        server, _ = write_server
+        failures = []
+        record_failure = server.breaker.record_failure
+        monkeypatch.setattr(
+            server.breaker,
+            "record_failure",
+            lambda: (failures.append(1), record_failure()),
+        )
+        for data_type in ("INT", "BIGINT", "TEXT"):
+            columns = "".join(f", c{i} {data_type}" for i in range(4000))
+            body = {"ddl": f"CREATE TABLE `a` (`x` INT, `y` INT{columns});\n"}
+            status, _, _, payload = send(
+                server, "/v1/projects/ok%2Falpha/advise", method="POST", body=body
+            )
+            assert status == 200, payload
+            assert payload["delta"]["attrs_injected"] == 4000
+        assert failures == []
+        status, headers, _, _ = send(server, "/v1/taxa")
+        assert status == 200 and "Warning" not in headers
+
     def test_writes_never_move_the_corpus_etag(self, write_server):
         server, _ = write_server
         _, headers, _, _ = send(server, "/v1/projects")

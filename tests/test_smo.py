@@ -17,7 +17,6 @@ from repro.smo import (
     SetPrimaryKey,
     SmoError,
     apply_script,
-    apply_smo,
     infer_smos,
     invert_script,
     invert_smo,
@@ -35,78 +34,140 @@ def schema_of(sql):
 class TestApply:
     def test_create_table(self):
         table = Table("t", (Attribute("a", INT),))
-        schema = apply_smo(Schema(), CreateTableOp(table))
+        schema = apply_script(Schema(), [CreateTableOp(table)])
         assert schema.table("t") is not None
 
     def test_create_duplicate_raises(self):
         table = Table("t", (Attribute("a", INT),))
         schema = Schema((table,))
         with pytest.raises(SmoError):
-            apply_smo(schema, CreateTableOp(table))
+            apply_script(schema, [CreateTableOp(table)])
 
     def test_drop_table(self):
         table = Table("t", (Attribute("a", INT),))
-        schema = apply_smo(Schema((table,)), DropTableOp(table))
+        schema = apply_script(Schema((table,)), [DropTableOp(table)])
         assert len(schema) == 0
 
     def test_drop_missing_raises(self):
         with pytest.raises(SmoError):
-            apply_smo(Schema(), DropTableOp(Table("ghost", (Attribute("a", INT),))))
+            apply_script(Schema(), [DropTableOp(Table("ghost", (Attribute("a", INT),)))])
 
     def test_rename_table(self):
         schema = schema_of("CREATE TABLE a (x INT);")
-        renamed = apply_smo(schema, RenameTable("a", "b"))
+        renamed = apply_script(schema, [RenameTable("a", "b")])
         assert renamed.table_names == ("b",)
 
     def test_rename_collision_raises(self):
         schema = schema_of("CREATE TABLE a (x INT); CREATE TABLE b (y INT);")
         with pytest.raises(SmoError):
-            apply_smo(schema, RenameTable("a", "b"))
+            apply_script(schema, [RenameTable("a", "b")])
 
     def test_add_column(self):
         schema = schema_of("CREATE TABLE t (a INT);")
-        result = apply_smo(schema, AddColumn("t", Attribute("b", TEXT)))
+        result = apply_script(schema, [AddColumn("t", Attribute("b", TEXT))])
         assert result.table("t").attribute_names == ("a", "b")
 
     def test_add_column_into_pk(self):
         schema = schema_of("CREATE TABLE t (a INT, PRIMARY KEY (a));")
-        result = apply_smo(schema, AddColumn("t", Attribute("b", INT), into_primary_key=True))
+        result = apply_script(
+            schema, [AddColumn("t", Attribute("b", INT), into_primary_key=True)]
+        )
         assert result.table("t").pk_key == ("a", "b")
 
     def test_add_duplicate_column_raises(self):
         schema = schema_of("CREATE TABLE t (a INT);")
         with pytest.raises(SmoError):
-            apply_smo(schema, AddColumn("t", Attribute("A", TEXT)))
+            apply_script(schema, [AddColumn("t", Attribute("A", TEXT))])
 
     def test_drop_column_removes_pk_membership(self):
         schema = schema_of("CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b));")
-        result = apply_smo(schema, DropColumn("t", Attribute("b", INT)))
+        result = apply_script(schema, [DropColumn("t", Attribute("b", INT))])
         assert result.table("t").pk_key == ("a",)
 
     def test_rename_column_preserves_pk(self):
         schema = schema_of("CREATE TABLE t (a INT, PRIMARY KEY (a));")
-        result = apply_smo(schema, RenameColumn("t", "a", "z"))
+        result = apply_script(schema, [RenameColumn("t", "a", "z")])
         assert result.table("t").pk_key == ("z",)
 
     def test_change_type_checks_precondition(self):
         schema = schema_of("CREATE TABLE t (a INT);")
         good = ChangeColumnType("t", "a", INT, TEXT)
-        assert apply_smo(schema, good).table("t").attribute("a").data_type == TEXT
+        assert apply_script(schema, [good]).table("t").attribute("a").data_type == TEXT
         bad = ChangeColumnType("t", "a", TEXT, INT)
         with pytest.raises(SmoError):
-            apply_smo(schema, bad)
+            apply_script(schema, [bad])
 
     def test_set_primary_key_checks_precondition(self):
         schema = schema_of("CREATE TABLE t (a INT, b INT, PRIMARY KEY (a));")
         op = SetPrimaryKey("t", old_key=("a",), new_key=("a", "b"))
-        assert apply_smo(schema, op).table("t").pk_key == ("a", "b")
+        assert apply_script(schema, [op]).table("t").pk_key == ("a", "b")
         with pytest.raises(SmoError):
-            apply_smo(schema, SetPrimaryKey("t", old_key=("b",), new_key=("a",)))
+            apply_script(schema, [SetPrimaryKey("t", old_key=("b",), new_key=("a",))])
 
     def test_set_primary_key_requires_columns(self):
         schema = schema_of("CREATE TABLE t (a INT, PRIMARY KEY (a));")
         with pytest.raises(SmoError):
-            apply_smo(schema, SetPrimaryKey("t", old_key=("a",), new_key=("ghost",)))
+            apply_script(schema, [SetPrimaryKey("t", old_key=("a",), new_key=("ghost",))])
+
+    def test_case_only_renames_raise(self):
+        schema = schema_of("CREATE TABLE t (a INT);")
+        with pytest.raises(SmoError, match="table 'T' already exists"):
+            apply_script(schema, [RenameTable("t", "T")])
+        with pytest.raises(SmoError, match="column 'A' already exists in 't'"):
+            apply_script(schema, [RenameColumn("t", "a", "A")])
+
+    def test_a_script_never_changes_its_input(self):
+        ddl = "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a)); CREATE TABLE u (c INT);"
+        schema = schema_of(ddl)
+        script = [
+            AddColumn("t", Attribute("z", INT), into_primary_key=True),
+            DropColumn("t", Attribute("b", INT)),
+            RenameColumn("t", "a", "k"),
+            ChangeColumnType("t", "k", INT, TEXT),
+            SetPrimaryKey("t", old_key=("k", "z"), new_key=("z",)),
+            RenameTable("u", "v"),
+            AddColumn("v", Attribute("d", INT)),
+        ]
+        applied = apply_script(schema, script)
+        assert applied.table("t").attribute_names == ("k", "z")
+        assert applied.table("t").primary_key == ("z",)
+        assert applied.table_names == ("t", "v")
+        assert schema == schema_of(ddl)
+
+
+def count_constructions(monkeypatch, cls) -> list:
+    """Record each *cls* instance constructed while the patch holds."""
+    built: list = []
+    original = cls.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+class TestOneFreezePerScript:
+    def test_a_script_builds_one_schema_and_each_edited_table_once(self, monkeypatch):
+        from repro.smo import render_script
+
+        k = 200
+        base = schema_of("CREATE TABLE t (a INT, PRIMARY KEY (a)); CREATE TABLE u (b INT);")
+        script = [
+            AddColumn("t", Attribute(f"c{i}", INT), into_primary_key=i % 2 == 0)
+            for i in range(k)
+        ] + [CreateTableOp(Table(f"n{i}", (Attribute("a", INT),))) for i in range(k)]
+        schemas = count_constructions(monkeypatch, Schema)
+        tables = count_constructions(monkeypatch, Table)
+        applied = apply_script(base, script)
+        assert (len(schemas), len(tables)) == (1, 1)
+        assert len(applied.table("t")) == k + 1 and len(applied) == k + 2
+        schemas.clear()
+        tables.clear()
+        sql = render_script(script, base)
+        assert len(schemas) <= 1 and len(tables) <= 1
+        assert sql.count("ADD PRIMARY KEY") == k // 2
 
 
 class TestCosts:
