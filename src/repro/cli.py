@@ -107,6 +107,19 @@ def _parse_dialects(value: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _positive_seconds(value: str) -> float:
+    """Parse ``serve --timeout``: a positive number of seconds."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = 0.0
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of seconds, got {value!r}"
+        )
+    return seconds
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """The shared option set of every corpus-running command.
@@ -485,7 +498,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import serve_forever
     from repro.store import resolve_store
 
-    timeout = args.timeout if args.timeout and args.timeout > 0 else None
     if args.workers > 1:
         import tempfile
 
@@ -511,7 +523,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 workers=args.workers,
                 verbose=not args.quiet,
-                request_timeout=timeout,
+                request_timeout=args.timeout,
                 response_cache=args.response_cache,
                 runtime_dir=runtime_dir,
             )
@@ -531,7 +543,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             verbose=not args.quiet,
-            request_timeout=timeout,
+            request_timeout=args.timeout,
             response_cache=args.response_cache,
         )
     return 0
@@ -844,8 +856,8 @@ def main(argv: list[str] | None = None) -> int:
         "--quiet", action="store_true", help="suppress per-request access logs"
     )
     serve.add_argument(
-        "--timeout", type=float, default=5.0, metavar="SECONDS",
-        help="per-request store deadline before degrading (<= 0 disables)",
+        "--timeout", type=_positive_seconds, default=5.0, metavar="SECONDS",
+        help="per-request store deadline before degrading (must be > 0)",
     )
     serve.add_argument(
         "--response-cache", type=int, default=256, metavar="N",

@@ -31,7 +31,6 @@ from repro.pipeline.stages import (
     ProjectContext,
     ProjectFailure,
     ProjectTask,
-    SeededExtractStage,
     Stage,
 )
 from repro.pipeline.stats import PipelineStats
@@ -46,6 +45,5 @@ __all__ = [
     "ProjectFailure",
     "ProjectTask",
     "SchemaCache",
-    "SeededExtractStage",
     "Stage",
 ]

@@ -1,27 +1,25 @@
 """Worker processes for the measurement pipeline.
 
-``PipelineConfig.jobs`` alone decides how projects run: one job, a
-single task or a custom stage chain runs in the calling thread; more
-jobs run on worker *processes*, which sidestep the GIL (a thread pool
-ran ``--jobs 4`` at 0.75x serial on this CPU-bound workload).  Both
+``PipelineConfig.jobs`` alone decides how projects run: one job or a
+single task runs in the calling thread; more jobs run on worker
+*processes*, which sidestep the GIL (a thread pool ran ``--jobs 4`` at
+0.75x serial on this CPU-bound workload).  Both
 :func:`run_on_workers` (one ``pipeline.run``) and incremental ingest
 (:mod:`repro.store.ingest`, one pool per run) schedule on a
 :class:`WorkerPool`.  The process contract with the rest of the system:
 
 - **Task shipping** — a slice of work (:class:`WorkerChunk`) carries
   one of two kinds of material.  A :class:`ProjectMaterial` is a task
-  the parent resolved: its repository via the provider (or the
-  pipeline's seed map), plus the usable version list when ingest
-  already extracted it; workers never see the provider.  A task whose
-  provider call *raises* in the parent runs through ``run_project`` in
-  the parent process, where that failed call stands as the provider
-  call of its first attempt, so outcomes, attempts, retry counters and
+  the parent resolved with its one provider call (plus the usable
+  versions when ingest walked them); workers never see the provider and
+  run every attempt on the shipped clone.  That call is attempt 1's: a
+  task whose call *raises* continues in the parent from attempt 2
+  (:func:`resolve_ahead`), so outcomes, attempts, retry counters and
   provider calls match the calling-thread path.  A stream material is
-  an index: the slice ships a
-  picklable :class:`MaterialSource` (the stream spec, the indices and
-  the store's fingerprints of their names), and the worker synthesizes,
-  extracts and fingerprints each project itself, drops the unchanged
-  ones and measures the rest.  :func:`run_slice` is that one path; a
+  an index: the slice ships a picklable :class:`MaterialSource` (the
+  stream spec, the indices and the store's fingerprints of their
+  names), and the worker synthesizes, extracts and fingerprints each
+  project itself, drops the unchanged ones and measures the rest.  :func:`run_slice` is that one path; a
   one-job pool runs it inline.
 - **Pool lifetime** — a :class:`WorkerPool` forks its ``jobs`` workers
   on the first submit and keeps them for every slice of its run: one
@@ -98,17 +96,15 @@ if TYPE_CHECKING:  # circular at runtime: pipeline.py imports this module
 
 @dataclass(frozen=True)
 class ProjectMaterial:
-    """One task plus everything a worker needs to run it.
-
-    ``versions`` is the pre-extracted usable history when the pipeline
-    was seeded (ingest); ``None`` means the worker runs the ordinary
-    extract stage against the shipped repository.
-    """
+    """One task plus what the parent resolved for it: the repository its
+    provider call returned (None when it vanished) and, when ingest
+    walked it already, the usable versions.  The worker hands both to
+    ``run_project``, whose extract stage walks whatever is missing."""
 
     index: int  # position in the input task list
     task: ProjectTask
     repo: Repository | None
-    versions: tuple[FileVersion, ...] | None = None
+    versions: tuple[FileVersion, ...] = ()
 
 
 class MaterialSource(Protocol):
@@ -193,24 +189,17 @@ def partition_digest(
 def run_slice(chunk: WorkerChunk, cache: "SchemaCache") -> ChunkOutcome:
     """Resolve and measure one slice: in a worker, or inline in the parent.
 
-    Materials with a version list replay it through a seeded extract
-    stage; the rest extract from their shipped repository.  Metrics land
-    in *cache*'s registry and spans in the active recorder.
+    Each material runs on what was resolved for it.  Metrics land in
+    *cache*'s registry and spans in the active recorder.
     """
     from repro.pipeline.pipeline import MeasurementPipeline
 
     materials, fingerprints = chunk.resolve()
-    repos = {m.task.repo_name: m.repo for m in materials}
-    seeds = {
-        m.task.repo_name: (m.repo, list(m.versions))
-        for m in materials
-        if m.versions is not None
-    }
-    seeded = MeasurementPipeline(repos.get, chunk.config, cache, seeds=seeds)
-    extracting = MeasurementPipeline(repos.get, chunk.config, cache)
+    # A slice has no provider: a material without a repository is one
+    # whose provider call returned None.
+    pipeline = MeasurementPipeline(lambda name: None, chunk.config, cache)
     contexts = [
-        (m.index, (seeded if m.versions is not None else extracting).run_project(m.task))
-        for m in materials
+        (m.index, pipeline.run_project(m.task, m.repo, m.versions)) for m in materials
     ]
     return ChunkOutcome(chunk.chunk_id, contexts, fingerprints)
 
@@ -323,11 +312,8 @@ class WorkerPool:
                 self._settle(batch)
             self._batches.remove(batch)
             outcomes = sorted(batch.outcomes, key=lambda outcome: outcome.chunk_id)
-            repos = {m.index: m.repo for chunk in batch.work for m in chunk.materials}
             for outcome in outcomes:
                 self._merge(outcome)
-                for index, ctx in outcome.contexts:
-                    ctx.repo = repos.get(index)  # the parent's own object, if any
             outcomes += [run_slice(chunk, cache) for chunk in batch.errored]
             outcomes += [self._demoted(chunk) for chunk in batch.dead]
         contexts: list[tuple[int, ProjectContext]] = []
@@ -472,44 +458,49 @@ def run_on_workers(
 ) -> list[ProjectContext]:
     """Run *tasks* on ``pipeline.config.jobs`` worker processes, one
     slice per chunk of *chunks*; contexts come back in input order."""
+    materials, done = resolve_ahead(pipeline, tasks)
+    work = [
+        WorkerChunk(chunk_id, pipeline.config, shipped)
+        for chunk_id, (start, stop) in enumerate(chunks)
+        if (shipped := tuple(m for m in materials if start <= m.index < stop))
+    ]
+    with WorkerPool(max(1, pipeline.config.jobs), pipeline.stats.registry) as pool:
+        contexts, _ = pool.results(pool.submit(work), pipeline.cache)
+    results = dict(contexts + done)
+    return [results[index] for index in range(len(tasks))]
+
+
+def resolve_ahead(
+    pipeline: "MeasurementPipeline", tasks: Sequence[ProjectTask], first: int = 0
+) -> tuple[list[ProjectMaterial], list[tuple[int, ProjectContext]]]:
+    """Make each task's first provider call here, ahead of its stages
+    (for :func:`run_on_workers` and the ingest's fingerprint pass).
+
+    Returns a material (numbered from *first*) per call that returned,
+    and a finished context per call that raised: that call was attempt
+    1's, so the project continues in this process from attempt 2.
+    """
     from repro.pipeline.pipeline import MeasurementPipeline
 
-    materials: list[ProjectMaterial | None] = []
-    unresolved: dict[int, Exception] = {}  # the provider raised in the parent
-    seeds = pipeline.seeds
-    for index, task in enumerate(tasks):
-        if seeds is not None:
-            repo, versions = seeds.get(task.repo_name, (None, []))
-            materials.append(ProjectMaterial(index, task, repo, tuple(versions)))
-            continue
+    materials: list[ProjectMaterial] = []
+    done: list[tuple[int, ProjectContext]] = []
+    for index, task in enumerate(tasks, first):
         try:
             materials.append(
                 ProjectMaterial(index, task, pipeline.provider(task.repo_name))
             )
         except Exception as exc:
-            materials.append(None)
-            unresolved[index] = exc
-    work = [
-        WorkerChunk(chunk_id, pipeline.config, shipped)
-        for chunk_id, (start, stop) in enumerate(chunks)
-        if (shipped := tuple(m for m in materials[start:stop] if m is not None))
-    ]
-    with WorkerPool(max(1, pipeline.config.jobs), pipeline.stats.registry) as pool:
-        contexts, _ = pool.results(pool.submit(work), pipeline.cache)
-    results = dict(contexts)
-    for index, error in unresolved.items():
-        inline = MeasurementPipeline(
-            _raising_first(pipeline.provider, error), pipeline.config, pipeline.cache
-        )
-        inline.stats = pipeline.stats
-        results[index] = inline.run_project(tasks[index])
-    return [results[index] for index in range(len(tasks))]
+            inline = MeasurementPipeline(
+                _raising_first(pipeline.provider, exc), pipeline.config, pipeline.cache
+            )
+            inline.stats = pipeline.stats
+            done.append((index, inline.run_project(task)))
+    return materials, done
 
 
 def _raising_first(provider: "RepoProvider", error: Exception) -> "RepoProvider":
     """*provider*, except that its first call raises *error*: the call
-    that already failed in the parent, replayed where the calling-thread
-    path makes it."""
+    already made ahead of the stages, replayed as attempt 1's."""
     pending = [error]
 
     def resolve(name: str) -> Repository | None:

@@ -1,13 +1,19 @@
 """The pipeline driver: fault isolation, retries, and timing.
 
 ``MeasurementPipeline.run`` pushes every :class:`ProjectTask` through
-the stage chain.  ``PipelineConfig.jobs`` alone decides how the batch
-runs: in the calling thread for one job, or on worker processes
+its one, fixed stage chain.  ``PipelineConfig.jobs`` alone decides how
+the batch runs: in the calling thread for one job, or on worker processes
 (:func:`~repro.pipeline.backends.run_on_workers`; the workload is
 CPU-bound python, and threads lose to the GIL).  Results are assembled
 strictly in input order, so every job count yields byte-identical
 reports.  A stage that raises demotes its project to a
 :class:`ProjectFailure`; the rest of the corpus is unaffected.
+
+A project's repository is resolved once: the provider is called at the
+start of an attempt until one call returns, and every later attempt
+re-runs the stages on that clone and the versions walked from it (a
+caller that resolved them already hands them to ``run_project``).  A
+provider call that raises fails that attempt's ``extract`` stage.
 
 Resilience (opt-in via :class:`PipelineConfig`): a ``retry`` policy
 re-runs a failed project from a *fresh* context with deterministic
@@ -21,7 +27,6 @@ published to the run's metrics registry.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -41,12 +46,10 @@ from repro.pipeline.stages import (
     ProjectContext,
     ProjectFailure,
     ProjectTask,
-    SeededExtractStage,
-    SeedMap,
     Stage,
 )
 from repro.pipeline.stats import PipelineStats
-from repro.vcs.history import LinearizationPolicy
+from repro.vcs.history import FileVersion, LinearizationPolicy
 from repro.vcs.repository import Repository
 
 #: Maps a repository name to its clone, or None when it has vanished.
@@ -74,40 +77,27 @@ class MeasurementPipeline:
         provider: RepoProvider,
         config: PipelineConfig = PipelineConfig(),
         cache: SchemaCache | None = None,
-        stages: Sequence[Stage] | None = None,
-        seeds: SeedMap | None = None,
     ) -> None:
-        """*seeds* replaces the extract stage with a
-        :class:`SeededExtractStage` over pre-extracted histories (the
-        incremental ingest's fingerprint pass already walked them); the
-        worker processes receive those version lists.  An explicit
-        *stages* chain wins over both and always runs in the calling
-        thread (closures cannot cross a fork)."""
         self.config = config
         self.provider = provider
-        self.seeds = dict(seeds) if seeds is not None else None
-        self._custom_stages = stages is not None
         self.cache = cache if cache is not None else SchemaCache(config.cache_dir)
         self.stats = PipelineStats(jobs=max(1, config.jobs), cache=self.cache.counters)
-        if stages is not None:
-            self.stages: tuple[Stage, ...] = tuple(stages)
-        else:
-            extract: Stage = (
-                SeededExtractStage(self.seeds)
-                if self.seeds is not None
-                else ExtractStage(provider, policy=config.policy)
-            )
-            self.stages = (
-                extract,
-                ParseStage(self.cache),
-                DiffStage(self.cache),
-                MeasureStage(self.cache, reed_limit=config.reed_limit),
-                ClassifyStage(),
-            )
+        self.stages: tuple[Stage, ...] = (
+            ExtractStage(provider, policy=config.policy),
+            ParseStage(self.cache),
+            DiffStage(self.cache),
+            MeasureStage(self.cache, reed_limit=config.reed_limit),
+            ClassifyStage(),
+        )
 
     # -- single project ---------------------------------------------------
 
-    def run_project(self, task: ProjectTask) -> ProjectContext:
+    def run_project(
+        self,
+        task: ProjectTask,
+        repo: Repository | None = None,
+        versions: Sequence[FileVersion] = (),
+    ) -> ProjectContext:
         """Push one task through the chain; never raises for a bad project.
 
         A failing project is retried from a fresh context under the
@@ -115,13 +105,20 @@ class MeasurementPipeline:
         attempt, i.e. no retries).  The surviving context carries the
         attempt count, and an exhausted retry budget stamps it onto the
         :class:`ProjectFailure` record.
+
+        Each attempt starts from what earlier attempts resolved: the
+        repository a provider call returned and the usable versions
+        walked from it.  A caller that resolved the project already
+        passes *repo* (and, if it walked them, *versions*), and the
+        provider is not called.
         """
         retry = self.config.retry
         deadline = Deadline(self.config.project_deadline)
         ctx = ProjectContext(task=task)
         attempt = 1
         for attempt in range(1, retry.max_attempts + 1):
-            ctx, caught = self._attempt(task, attempt, deadline)
+            ctx, caught = self._attempt(task, attempt, deadline, repo, versions)
+            repo, versions = ctx.repo, ctx.file_versions
             if ctx.outcome is not Outcome.FAILED:
                 if attempt > 1:
                     self.stats.note_recovered()
@@ -144,10 +141,16 @@ class MeasurementPipeline:
         return ctx
 
     def _attempt(
-        self, task: ProjectTask, attempt: int, deadline: Deadline
+        self,
+        task: ProjectTask,
+        attempt: int,
+        deadline: Deadline,
+        repo: Repository | None,
+        versions: Sequence[FileVersion],
     ) -> tuple[ProjectContext, Exception | None]:
-        """One pass through the stage chain on a fresh context."""
-        ctx = ProjectContext(task=task)
+        """One pass through the stage chain on a fresh context holding
+        what earlier attempts resolved."""
+        ctx = ProjectContext(task=task, repo=repo, file_versions=list(versions))
         injector = self.config.injector
         caught: Exception | None = None
         for stage in self.stages:
@@ -187,18 +190,11 @@ class MeasurementPipeline:
         """Run every task; results come back in input order regardless of
         scheduling, so every job count yields identical output.  More
         than one job and more than one task run on worker processes;
-        anything else, and a custom stage chain, in the calling thread."""
+        anything else in the calling thread."""
         task_list = list(tasks)
         started = time.perf_counter()
         jobs = max(1, self.config.jobs)
-        if jobs > 1 and self._custom_stages:
-            warnings.warn(
-                "custom stage chains cannot cross the process boundary; "
-                "running them in the calling thread",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        workers = jobs > 1 and len(task_list) > 1 and not self._custom_stages
+        workers = jobs > 1 and len(task_list) > 1
         backend = "process" if workers else "serial"
         if workers:
             chunks = partition(len(task_list), jobs)
@@ -236,10 +232,10 @@ class MeasurementPipeline:
 
         The CLI's ``classify`` command (and any caller holding raw file
         contents rather than a repository) enters the pipeline here:
-        a single-commit-per-version repository is synthesized so the
-        ordinary extract stage — and with it the schema cache — serves
-        the request.  The call counts as a one-project run in
-        :attr:`stats`.
+        a single-commit-per-version repository is synthesized and handed
+        to the ordinary stages as already resolved, so the provider is
+        not called and the schema cache serves the request.  The call
+        counts as a one-project run in :attr:`stats`.
         """
         started = time.perf_counter()
         repo = Repository(name)
@@ -250,20 +246,7 @@ class MeasurementPipeline:
                 timestamp=timestamp,
                 message=oid,
             )
-        one_shot = MeasurementPipeline(
-            provider=lambda _: repo,
-            config=self.config,
-            cache=self.cache,
-            stages=(
-                ExtractStage(lambda _: repo, policy=self.config.policy),
-                ParseStage(self.cache),
-                DiffStage(self.cache),
-                MeasureStage(self.cache, reed_limit=self.config.reed_limit),
-                ClassifyStage(),
-            ),
-        )
-        one_shot.stats = self.stats  # timings accrue to the shared run
-        ctx = one_shot.run_project(ProjectTask(name, ddl_path, domain))
+        ctx = self.run_project(ProjectTask(name, ddl_path, domain), repo)
         failed = int(ctx.outcome is Outcome.FAILED)
         self.stats.note_run(
             projects=1,

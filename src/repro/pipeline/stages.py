@@ -7,6 +7,11 @@ funnel's removal categories are terminal outcomes, not exceptions).
 Anything a stage *raises* is caught by the pipeline and demoted to a
 structured :class:`ProjectFailure` — one malformed project must never
 abort the other 194.
+
+One :class:`ExtractStage` serves every caller: the pipeline seeds each
+attempt with what earlier attempts (or the caller) resolved, so a
+project's repository is resolved once however often it is retried, and
+wherever it runs.
 """
 
 from __future__ import annotations
@@ -119,7 +124,9 @@ def usable_versions(versions: list[FileVersion]) -> list[FileVersion]:
 
 
 class ExtractStage:
-    """Clone-equivalent: resolve the repository, linearize the file history."""
+    """Clone-equivalent: resolve the repository, linearize the file
+    history.  A repository in the context skips the provider, and a
+    version list skips the walk."""
 
     name = "extract"
 
@@ -128,44 +135,16 @@ class ExtractStage:
         self._policy = policy
 
     def run(self, ctx: ProjectContext) -> None:
-        repo = self._provider(ctx.task.repo_name)
-        if repo is None:
-            ctx.outcome = Outcome.ZERO_VERSIONS
-            return
-        ctx.repo = repo
-        versions = extract_file_history(repo, ctx.task.ddl_path, policy=self._policy)
-        ctx.file_versions = usable_versions(versions)
+        if ctx.repo is None:
+            ctx.repo = self._provider(ctx.task.repo_name)
+            if ctx.repo is None:
+                ctx.outcome = Outcome.ZERO_VERSIONS
+                return
         if not ctx.file_versions:
-            ctx.outcome = Outcome.ZERO_VERSIONS
-
-
-#: What seeds a :class:`SeededExtractStage`: repository (or None when it
-#: vanished) plus the pre-extracted usable version list, per repo name.
-SeedMap = dict[str, tuple[Repository | None, list[FileVersion]]]
-
-
-class SeededExtractStage:
-    """An extract stage fed from pre-extracted histories.
-
-    Two callers hold the version lists before the pipeline runs and must
-    not walk them twice: the incremental ingest (its fingerprint pass
-    already linearized every candidate history) and the worker processes
-    (the parent ships each worker its tasks' repositories and version
-    lists, because a worker has no provider).
-    """
-
-    name = "extract"
-
-    def __init__(self, seeds: SeedMap):
-        self._seeds = seeds
-
-    def run(self, ctx: ProjectContext) -> None:
-        repo, versions = self._seeds.get(ctx.task.repo_name, (None, []))
-        if repo is None:
-            ctx.outcome = Outcome.ZERO_VERSIONS
-            return
-        ctx.repo = repo
-        ctx.file_versions = list(versions)
+            versions = extract_file_history(
+                ctx.repo, ctx.task.ddl_path, policy=self._policy
+            )
+            ctx.file_versions = usable_versions(versions)
         if not ctx.file_versions:
             ctx.outcome = Outcome.ZERO_VERSIONS
 

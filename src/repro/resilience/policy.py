@@ -229,6 +229,12 @@ class _WorkerPool:
             self._idle.append(worker)
 
 
+def require_positive_timeout(seconds: float) -> None:
+    """Raise :class:`ValueError` unless *seconds* is a positive bound."""
+    if seconds is None or not seconds > 0:
+        raise ValueError(f"timeout must be positive, got {seconds}")
+
+
 #: One pool per process: ``call_with_timeout(fn, seconds)`` takes none.
 _POOL = _WorkerPool()
 
@@ -243,17 +249,17 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
     os.register_at_fork(after_in_child=_new_pool_after_fork)
 
 
-def call_with_timeout(fn: Callable[[], T], seconds: float | None) -> T:
+def call_with_timeout(fn: Callable[[], T], seconds: float) -> T:
     """Run *fn* bounded by *seconds*, raising :class:`DeadlineExceeded`.
 
     The call runs on a reused idle daemon worker (a new one only when
     none is idle) so a hang (a wedged store read, a blocked socket)
     cannot pin the caller; the abandoned worker keeps running, its
     result is discarded, and it is not handed out again until *fn*
-    returns.  ``seconds=None`` calls *fn* inline with no thread at all.
+    returns.  *seconds* must be positive (:class:`ValueError`
+    otherwise): an unbounded wait would hang with *fn*.
     """
-    if seconds is None:
-        return fn()
+    require_positive_timeout(seconds)
     box, done = _POOL.acquire().submit(fn)
     done.wait(seconds)
     if "error" in box:

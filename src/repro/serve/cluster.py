@@ -54,6 +54,7 @@ from multiprocessing.connection import wait as sentinel_wait
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience.policy import require_positive_timeout
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.server import DEFAULT_REQUEST_TIMEOUT, create_server
 from repro.serve.service import DEFAULT_CACHE_CAPACITY
@@ -87,10 +88,13 @@ class ClusterConfig:
     port: int = 8765
     workers: int = 2
     verbose: bool = False
-    request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT
+    request_timeout: float = DEFAULT_REQUEST_TIMEOUT
     response_cache: int = DEFAULT_CACHE_CAPACITY
     runtime_dir: str = ""
     relay_interval: float = RELAY_INTERVAL
+
+    def __post_init__(self) -> None:
+        require_positive_timeout(self.request_timeout)
 
     def worker_state_path(self, index: int) -> Path:
         return Path(self.runtime_dir) / f"worker-{index}.json"

@@ -56,7 +56,12 @@ from urllib.parse import parse_qsl, urlsplit
 from repro import __version__
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace
-from repro.resilience.policy import CircuitBreaker, DeadlineExceeded, call_with_timeout
+from repro.resilience.policy import (
+    CircuitBreaker,
+    DeadlineExceeded,
+    call_with_timeout,
+    require_positive_timeout,
+)
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.routes import API_V1_PREFIX, API_VERSION
 from repro.serve.service import (
@@ -320,12 +325,13 @@ class CorpusServer(ThreadingHTTPServer):
         port: int = 8765,
         verbose: bool = False,
         registry: MetricsRegistry | None = None,
-        request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
+        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         breaker: CircuitBreaker | None = None,
         response_cache: int = DEFAULT_CACHE_CAPACITY,
         reuse_port: bool = False,
         cluster_workers: int | None = None,
     ) -> None:
+        require_positive_timeout(request_timeout)
         self.store = store
         self.metrics = ServiceMetrics(registry)
         self.service = CorpusService(
@@ -503,7 +509,7 @@ def create_server(
     port: int = 8765,
     verbose: bool = False,
     registry: MetricsRegistry | None = None,
-    request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
+    request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     breaker: CircuitBreaker | None = None,
     response_cache: int = DEFAULT_CACHE_CAPACITY,
     reuse_port: bool = False,
@@ -514,10 +520,11 @@ def create_server(
     Callers own the lifecycle (``serve_forever()`` / ``shutdown()``);
     pass ``port=0`` for an ephemeral port, *registry* to publish the
     HTTP metrics into an existing :class:`MetricsRegistry`,
-    *request_timeout* (seconds; ``None`` disables) to bound every
-    store-touching request, *breaker* to tune or share the store
-    circuit breaker, and *response_cache* to size the hot-path
-    rendered-response cache (entries; ``0`` disables it).
+    *request_timeout* (seconds, positive; anything else raises
+    :class:`ValueError`) to bound every store-touching request,
+    *breaker* to tune or share the store circuit breaker, and
+    *response_cache* to size the hot-path rendered-response cache
+    (entries; ``0`` disables it).
     *reuse_port* and *cluster_workers* are the pre-fork cluster hooks:
     bind with ``SO_REUSEPORT`` and advertise the worker count on
     ``/v1/stats`` (see :mod:`repro.serve.cluster`).
@@ -549,7 +556,7 @@ def serve_forever(
     host: str = "127.0.0.1",
     port: int = 8765,
     verbose: bool = True,
-    request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
+    request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     response_cache: int = DEFAULT_CACHE_CAPACITY,
     registry: MetricsRegistry | None = None,
 ) -> None:

@@ -25,9 +25,13 @@ fingerprints once, measure its changed projects, write them in one
   gets the stream spec, its indices and the store's fingerprints of
   those names, then synthesizes, extracts and fingerprints its projects
   itself, drops the unchanged ones and measures the rest.
-- A **corpus** chunk is fingerprinted in the parent, which holds its
-  repositories already, and only the changed projects are shipped with
-  their extracted histories.  A re-ingest ships nothing.
+- A **corpus** chunk is resolved and fingerprinted in the parent,
+  where the provider lives: one provider call per project, whose
+  repository and walked history ship with each changed project (a
+  re-ingest ships nothing).  That call is the project's first
+  attempt's, as in ``run_funnel``: a call that raises continues the
+  project in the parent from attempt 2, and a project that recovers is
+  stored under the fingerprint of what the later call returned.
 
 A run opens one :class:`~repro.pipeline.backends.WorkerPool` (with
 one job it runs the same slices inline) and keeps exactly one
@@ -55,10 +59,11 @@ trusting a half-written row.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
@@ -76,6 +81,7 @@ from repro.pipeline.backends import (
     WorkerPool,
     partition,
     partition_digest,
+    resolve_ahead,
 )
 from repro.pipeline.cache import SchemaCache, text_key
 from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
@@ -84,7 +90,6 @@ from repro.pipeline.stages import (
     ProjectContext,
     ProjectFailure,
     ProjectTask,
-    SeedMap,
     usable_versions,
 )
 from repro.pipeline.stats import PipelineStats
@@ -233,57 +238,55 @@ def _persist_resiliently(
     checkpoint in place for the resumed run).
     """
     name = ctx.task.repo_name
-    last: Exception | None = None
-    for attempt in range(1, retry.max_attempts + 1):
-        try:
-            if injector is not None:
-                injector.check("persist", name, attempt)
-            store.persist_context(ctx, fingerprint)
-            if attempt > 1:
-                stats.registry.counter("repro_ingest_persist_recovered_total").inc()
-            return
-        except Exception as exc:
-            last = exc
-            if attempt >= retry.max_attempts:
-                break
-            stats.registry.counter("repro_ingest_persist_retries_total").inc()
-            delay = retry.delay_for(attempt, key=f"persist|{name}")
-            if delay > 0:
-                time.sleep(delay)
-    assert last is not None
-    failure = ProjectFailure(
-        project=name,
-        stage="persist",
-        error=type(last).__name__,
-        message=str(last),
-        attempts=retry.max_attempts,
-    )
-    fallback = ProjectContext(task=ctx.task, outcome=Outcome.FAILED, failure=failure)
-    store.persist_context(fallback, PERSIST_FAILED_FINGERPRINT)
+    attempts = itertools.count(1)
+
+    def write() -> None:
+        attempt = next(attempts)
+        if injector is not None:
+            injector.check("persist", name, attempt)
+        store.persist_context(ctx, fingerprint)
+
+    def retried(attempt: int, error: BaseException) -> None:
+        stats.registry.counter("repro_ingest_persist_retries_total").inc()
+
+    try:
+        _, used = retry.execute(write, key=f"persist|{name}", on_retry=retried)
+    except Exception as exc:
+        failure = ProjectFailure(
+            project=name,
+            stage="persist",
+            error=type(exc).__name__,
+            message=str(exc),
+            attempts=retry.max_attempts,
+        )
+        fallback = ProjectContext(task=ctx.task, outcome=Outcome.FAILED, failure=failure)
+        store.persist_context(fallback, PERSIST_FAILED_FINGERPRINT)
+        return
+    if used > 1:
+        stats.registry.counter("repro_ingest_persist_recovered_total").inc()
 
 
 def _fingerprint(
-    tasks: list[ProjectTask],
-    provider: RepoProvider,
+    resolved: list[ProjectMaterial],
     config: PipelineConfig,
     stored_of: Callable[[list[str]], dict[str, str]],
-    first: int,
-) -> tuple[list[ProjectMaterial], dict[str, str], list[tuple[int, ProjectTask]]]:
-    """Fingerprint *tasks* (numbered from *first*) against *stored_of*
+) -> tuple[list[ProjectMaterial], dict[str, str]]:
+    """Walk and fingerprint each *resolved* project against *stored_of*
     their names.
 
-    Returns the changed projects as materials carrying their extracted
-    histories, every task's fingerprint by name, and the tasks whose
-    provider or extraction raised: those have no history to carry and
-    go through the pipeline's own extract stage, which records the
-    crash as a :class:`~repro.pipeline.stages.ProjectFailure`.
+    Returns the changed projects, carrying their walked versions, and
+    every project's fingerprint by name.  A project whose walk raised
+    has no history to fingerprint: it is stored under
+    :data:`MISSING_REPO_FINGERPRINT` and ships as resolved, so its walk
+    fails again where it runs and the extract stage records the crash
+    as a :class:`~repro.pipeline.stages.ProjectFailure`.
     """
-    with trace("ingest.fingerprint", tasks=len(tasks)) as span:
-        seeds: SeedMap = {}
+    with trace("ingest.fingerprint", tasks=len(resolved)) as span:
+        walked: list[tuple[ProjectMaterial, str | None]] = []
         fingerprints: dict[str, str] = {}
-        for task in tasks:
+        for material in resolved:
+            task, repo = material.task, material.repo
             try:
-                repo = provider(task.repo_name)
                 versions = (
                     usable_versions(
                         extract_file_history(repo, task.ddl_path, policy=config.policy)
@@ -292,24 +295,20 @@ def _fingerprint(
                     else []
                 )
                 fingerprint = history_fingerprint(task, repo, versions, config)
+                material = replace(material, versions=tuple(versions))
             except Exception:
-                fingerprints[task.repo_name] = MISSING_REPO_FINGERPRINT
-                continue
-            fingerprints[task.repo_name] = fingerprint
-            seeds[task.repo_name] = (repo, versions)
+                fingerprint = None
+            fingerprints[task.repo_name] = fingerprint or MISSING_REPO_FINGERPRINT
+            walked.append((material, fingerprint))
         stored = stored_of(list(fingerprints))
-        changed: list[ProjectMaterial] = []
-        crashed: list[tuple[int, ProjectTask]] = []
-        for index, task in enumerate(tasks, first):
-            name = task.repo_name
-            if name not in seeds:
-                crashed.append((index, task))
-            elif stored.get(name) != fingerprints[name]:
-                repo, versions = seeds[name]
-                changed.append(ProjectMaterial(index, task, repo, tuple(versions)))
+        changed = [
+            material
+            for material, fingerprint in walked
+            if fingerprint is None or stored.get(material.task.repo_name) != fingerprint
+        ]
         if span is not None:
-            span.attrs["changed"] = len(changed) + len(crashed)
-    return changed, fingerprints, crashed
+            span.attrs["changed"] = len(changed)
+    return changed, fingerprints
 
 
 def _lookup(store: CorpusStore, names: list[str]) -> dict[str, str]:
@@ -337,19 +336,15 @@ class _StreamSlice:
 
         with trace("ingest.source", start=self.start, stop=self.stop):
             projects = list(stream_projects(self.spec, self.start, self.stop))
-        repos = {p.name: p.repo for p in projects}
-        tasks = [
-            ProjectTask(p.name, p.ddl_path, p.plan.domain, dialect=p.dialect)
-            for p in projects
+        resolved = [
+            ProjectMaterial(
+                index,
+                ProjectTask(p.name, p.ddl_path, p.plan.domain, dialect=p.dialect),
+                p.repo,
+            )
+            for index, p in enumerate(projects, self.start)
         ]
-        changed, fingerprints, crashed = _fingerprint(
-            tasks, repos.get, config, lambda _: self.stored, self.start
-        )
-        changed += [
-            ProjectMaterial(index, task, repos[task.repo_name])
-            for index, task in crashed
-        ]
-        return changed, fingerprints
+        return _fingerprint(resolved, config, lambda _: self.stored)
 
 
 #: What a source makes of one chunk: the digest keys and bounds of its
@@ -554,9 +549,9 @@ def ingest_corpus(
 
     The front half is the funnel's own selection
     (:func:`repro.mining.funnel.select_tasks`); the back half replaces
-    blanket re-measurement with the fingerprint delta.  Projects whose
-    history cannot even be extracted (a crashing provider) go through
-    the ordinary pipeline, so the failure is recorded uniformly as a
+    blanket re-measurement with the fingerprint delta.  A project whose
+    provider call or history walk raises fails its ``extract`` stage
+    exactly as in ``run_funnel``, recorded as a
     :class:`~repro.pipeline.stages.ProjectFailure`; with ``prune``,
     stored projects that left the corpus are dropped.
 
@@ -582,15 +577,19 @@ def ingest_corpus(
 
     def dispatch(start: int, stop: int, cache: SchemaCache, jobs: int) -> _Dispatch:
         with trace("ingest.source", start=start, stop=stop):
-            chunk = tasks[start:stop]
-        changed, fingerprints, crashed = _fingerprint(
-            chunk, provider, config, partial(_lookup, store), start
-        )
-        # A provider that raised reruns here, where the provider lives.
-        done = [
-            (index, MeasurementPipeline(provider, config, cache).run_project(task))
-            for index, task in crashed
-        ]
+            pipeline = MeasurementPipeline(provider, config, cache)
+            resolved, done = resolve_ahead(pipeline, tasks[start:stop], start)
+        changed, fingerprints = _fingerprint(resolved, config, partial(_lookup, store))
+        # A project whose first call raised is stored under the
+        # fingerprint of what a later call returned; a failed extract
+        # walked no history.
+        for _, ctx in done:
+            failure = ctx.failure
+            fingerprints[ctx.name] = (
+                MISSING_REPO_FINGERPRINT
+                if failure is not None and failure.stage == "extract"
+                else history_fingerprint(ctx.task, ctx.repo, ctx.file_versions, config)
+            )
         bounds = partition(len(changed), jobs)
         work = [
             WorkerChunk(slice_id, config, tuple(changed[a:b]))

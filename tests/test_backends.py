@@ -282,49 +282,185 @@ class TestWorkerResilience:
 
 
 class TestSeededPipeline:
-    def test_seeded_pipeline_runs_on_every_backend(self):
-        from repro.vcs.history import extract_file_history
+    def test_seeded_pipeline_runs_on_every_backend(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.pipeline import backends, stages
+        from repro.pipeline.cache import SchemaCache
         from repro.pipeline.stages import usable_versions
+        from repro.vcs.history import extract_file_history
 
         repo = _repo("seeded/project")
-        seeds = {
-            "seeded/project": (
-                repo,
-                usable_versions(extract_file_history(repo, "schema.sql")),
-            ),
-            "seeded/vanished": (None, []),
+        versions = tuple(usable_versions(extract_file_history(repo, "schema.sql")))
+        project, vanished = _tasks(["seeded/project", "seeded/vanished"])
+        calls: list[str] = []
+
+        def provider(name):
+            calls.append(name)
+            return None
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a pre-walked history is walked again")
+
+        monkeypatch.setattr(stages, "extract_file_history", no_walk)
+        pipeline = MeasurementPipeline(provider, PipelineConfig())
+        outcomes = {
+            "serial": [
+                pipeline.run_project(project, repo, versions).outcome,
+                pipeline.run_project(vanished).outcome,
+            ]
         }
-        outcomes = {}
-        for backend, jobs in JOBS.items():
-            pipeline = MeasurementPipeline(
-                provider=lambda name: seeds.get(name, (None, []))[0],
-                config=PipelineConfig(jobs=jobs),
-                seeds=seeds,
-            )
-            contexts = pipeline.run(
-                _tasks(["seeded/project", "seeded/vanished"])
-            )
-            outcomes[backend] = [ctx.outcome for ctx in contexts]
+        assert calls == ["seeded/vanished"]  # only the unresolved task asks
+        monkeypatch.undo()
+        config = PipelineConfig(jobs=2)
+        materials = (
+            backends.ProjectMaterial(0, project, repo, versions),
+            backends.ProjectMaterial(1, vanished, None),
+        )
+        with backends.WorkerPool(2, MetricsRegistry()) as pool:
+            batch = pool.submit([backends.WorkerChunk(0, config, materials)])
+            contexts, _ = pool.results(batch, SchemaCache())
+        outcomes["process"] = [ctx.outcome for _, ctx in contexts]
         assert (
             outcomes["serial"]
             == outcomes["process"]
             == [Outcome.STUDIED, Outcome.ZERO_VERSIONS]
         )
 
-    def test_custom_stage_chain_still_executes_via_serial_fallback(self):
-        repo = _repo("custom/project")
-        pipeline = MeasurementPipeline(
-            {"custom/project": repo}.get, PipelineConfig(jobs=2)
-        )
-        custom = MeasurementPipeline(
-            {"custom/project": repo}.get,
-            PipelineConfig(jobs=2),
-            stages=pipeline.stages,
-        )
-        with pytest.warns(RuntimeWarning, match="process boundary"):
-            contexts = custom.run(_tasks(["custom/project"]) * 3)
-        assert [ctx.outcome for ctx in contexts] == [Outcome.STUDIED] * 3
-        assert custom.stats.partition["backend"] == "serial"
+
+class UnreadableRepo(Repository):
+    """A clone whose blobs cannot be read: its history walk raises."""
+
+    def get_blob(self, oid):
+        raise OSError(f"blob {oid} is unreadable")
+
+
+def _counting(provider, refused=()):
+    """*provider*, counting its calls by name in the returned dict and
+    refusing the first call for every name in *refused*."""
+    calls: dict[str, int] = {}
+
+    def counted(name):
+        calls[name] = calls.get(name, 0) + 1
+        if name in refused and calls[name] == 1:
+            raise ConnectionError(f"clone of {name} refused")
+        return provider(name)
+
+    return counted, calls
+
+
+class TestOneResolutionPerProject:
+    """A project's repository is resolved once, by one provider call
+    that returns, and every attempt at every job count reuses it; the
+    funnel and ingest count a refused call alike."""
+
+    JOB_COUNTS = (1, 2)
+
+    @staticmethod
+    def _refused(corpus) -> set[str]:
+        return set(sorted(corpus.repos)[:40:4])
+
+    def test_retries_reuse_the_first_clone_at_every_job_count(self):
+        repos = {f"ok/p{index}": _repo(f"ok/p{index}") for index in range(6)}
+        runs = {}
+        for jobs in self.JOB_COUNTS:
+            provider, calls = _counting(repos.get)
+            pipeline = MeasurementPipeline(
+                provider,
+                PipelineConfig(
+                    jobs=jobs,
+                    retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0),
+                    injector=FaultInjector(
+                        seed=1, rate=0.5, sites=("parse",), fail_attempts=1
+                    ),
+                ),
+            )
+            contexts = pipeline.run(_tasks(sorted(repos)))
+            runs[jobs] = (
+                [(ctx.outcome, ctx.attempts) for ctx in contexts],
+                pipeline.stats.retries,
+                pipeline.stats.recovered,
+            )
+            assert calls == dict.fromkeys(repos, 1), jobs
+        assert runs[1] == runs[2]
+        outcomes, retries, recovered = runs[1]
+        assert {outcome for outcome, _ in outcomes} == {Outcome.STUDIED}
+        assert retries == recovered > 0  # the faults fired and were retried
+
+    def test_a_refused_clone_fails_extract_alike_in_funnel_and_ingest(
+        self, small_corpus, tmp_path
+    ):
+        from repro.mining.funnel import run_funnel
+
+        refused = self._refused(small_corpus)
+        failures = {}
+        for jobs in self.JOB_COUNTS:
+            provider, calls = _counting(small_corpus.repos.get, refused)
+            report = run_funnel(
+                small_corpus.activity, small_corpus.lib_io, provider, jobs=jobs
+            )
+            failures["funnel", jobs] = [f.payload() for f in report.failures]
+            assert {name: calls[name] for name in refused} == dict.fromkeys(refused, 1)
+            provider, calls = _counting(small_corpus.repos.get, refused)
+            with CorpusStore(tmp_path / f"refused-{jobs}.db") as store:
+                ingest_corpus(
+                    store, small_corpus.activity, small_corpus.lib_io, provider,
+                    jobs=jobs,
+                )
+                failures["ingest", jobs] = [f.payload() for f in store.failures()]
+            assert {name: calls[name] for name in refused} == dict.fromkeys(refused, 1)
+        first, *others = failures.values()
+        assert all(other == first for other in others), failures
+        assert sorted(f["project"] for f in first) == sorted(refused)
+        assert {(f["stage"], f["error"], f["attempts"]) for f in first} == {
+            ("extract", "ConnectionError", 1)
+        }
+
+    def test_a_recovered_clone_is_stored_as_a_clean_ingest_stores_it(
+        self, small_corpus, tmp_path
+    ):
+        refused = self._refused(small_corpus)
+        with CorpusStore(tmp_path / "clean.db") as store:
+            ingest_corpus(
+                store, small_corpus.activity, small_corpus.lib_io, small_corpus.provider
+            )
+            clean = store.content_hash()
+        for jobs in self.JOB_COUNTS:
+            provider, _ = _counting(small_corpus.repos.get, refused)
+            with CorpusStore(tmp_path / f"retried-{jobs}.db") as store:
+                report = ingest_corpus(
+                    store, small_corpus.activity, small_corpus.lib_io, provider,
+                    jobs=jobs,
+                    retry=RetryPolicy(max_attempts=2, base_delay=0, max_delay=0),
+                )
+                assert report.failed == 0
+                assert store.content_hash() == clean, jobs
+                again = ingest_corpus(
+                    store, small_corpus.activity, small_corpus.lib_io,
+                    small_corpus.provider, jobs=jobs,
+                )
+                assert again.measured == 0, jobs
+
+    def test_a_walk_that_raises_fails_extract_without_a_second_call(self, tmp_path):
+        from repro.mining.funnel import run_funnel
+
+        corpus = materialize_stream(StreamSpec(seed=3, count=6))
+        victim = sorted(corpus.repos)[1]
+        unreadable = UnreadableRepo(victim)
+        unreadable.__dict__.update(corpus.repos[victim].__dict__)
+        repos = {**corpus.repos, victim: unreadable}
+        provider, calls = _counting(repos.get)
+        serial = run_funnel(corpus.activity, corpus.lib_io, provider)
+        expected = [f.payload() for f in serial.failures]
+        assert [(f["project"], f["stage"]) for f in expected] == [(victim, "extract")]
+        assert calls[victim] == 1
+        for jobs in self.JOB_COUNTS:
+            provider, calls = _counting(repos.get)
+            with CorpusStore(tmp_path / f"unreadable-{jobs}.db") as store:
+                ingest_corpus(
+                    store, corpus.activity, corpus.lib_io, provider, jobs=jobs
+                )
+                assert [f.payload() for f in store.failures()] == expected, jobs
+            assert calls[victim] == 1, jobs
 
 
 class TestOnePoolPerIngestRun:

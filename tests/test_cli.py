@@ -120,6 +120,13 @@ class TestArgParsing:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --executor thread" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_serve_timeout_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--timeout", value])
+        assert excinfo.value.code == 2
+        assert "argument --timeout: expected a positive number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,flag", UNDECLARED_FLAGS)
     def test_undeclared_flags_are_usage_errors(self, command, flag, capsys):
         value = [] if flag == "--stats" else ["1"]

@@ -168,7 +168,11 @@ class TestDeadline:
 class TestCallWithTimeout:
     def test_returns_the_value(self):
         assert call_with_timeout(lambda: 42, 5.0) == 42
-        assert call_with_timeout(lambda: 42, None) == 42  # inline, no thread
+
+    def test_rejects_a_missing_or_non_positive_bound(self):
+        for bad in (None, 0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                call_with_timeout(lambda: 42, bad)
 
     def test_propagates_the_exception(self):
         def boom():

@@ -648,6 +648,55 @@ class TestWarmRequests:
         assert len(opened) <= 1
         assert len(rescans) <= 1
 
+    def test_short_lived_connections_open_one_connection_per_concurrent_request(
+        self, tmp_path, monkeypatch, fresh_worker_pool
+    ):
+        import threading
+
+        from repro.store import store as store_mod
+
+        activity, lib_io, repos = small_corpus()
+        store = CorpusStore(tmp_path / "connections.db")
+        ingest_corpus(store, activity, lib_io, repos.get)
+        opened = []
+        connect = store_mod.sqlite3.connect
+
+        def counted_connect(*args, **kwargs):
+            opened.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod.sqlite3, "connect", counted_connect)
+        server, thread = start_server(store, port=0, response_cache=0)
+        concurrency, per_client = 4, 15
+        statuses: list[int] = []
+
+        def client() -> None:
+            for _ in range(per_client):  # urllib opens a connection per GET
+                statuses.append(request(server, "/v1/stats")[0])
+
+        try:
+            clients = [threading.Thread(target=client) for _ in range(concurrency)]
+            for each in clients:
+                each.start()
+            for each in clients:
+                each.join(timeout=60)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            store.close()
+        assert statuses == [200] * concurrency * per_client
+        assert 1 <= len(opened) <= concurrency
+
+    def test_a_request_timeout_must_be_positive(self, seeded_store):
+        from repro.serve import ClusterConfig, create_server
+
+        for bad in (None, 0, -1.0):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                create_server(seeded_store, port=0, request_timeout=bad)
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                ClusterConfig(db="corpus.db", request_timeout=bad)
+
     def test_a_cached_body_is_compressed_once(self, seeded_store, monkeypatch):
         compress = gzip.compress
         bodies: list[bytes] = []
