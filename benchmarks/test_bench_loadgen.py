@@ -15,9 +15,6 @@ profile, not just the hot path.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import threading
 import time
 import urllib.error
@@ -26,44 +23,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.loadgen import LoadConfig, run_load
+from repro.loadgen import LoadConfig, append_trajectory, run_load
+from repro.loadgen.runner import machine
 from repro.serve import ClusterConfig, ClusterSupervisor, start_server
 from repro.store import CorpusStore, ingest_corpus
 from repro.synthesis import CorpusSpec, build_corpus
 
+ROOT = Path(__file__).resolve().parent.parent
+
 #: Collected below; flushed to BENCH_loadgen.json once per module.
 _TRAJECTORY: dict[str, dict] = {}
-
-
-def _machine() -> dict:
-    """Who measured: numbers are only comparable on like hardware."""
-    return {
-        "cores": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-    }
 
 
 @pytest.fixture(scope="module", autouse=True)
 def loadgen_trajectory():
     """Append this run's loadgen numbers to the trajectory file."""
     yield
-    if not _TRAJECTORY:
-        return
-    path = Path(__file__).resolve().parent.parent / "BENCH_loadgen.json"
-    history = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text()).get("trajectory", [])
-        except (json.JSONDecodeError, OSError):
-            history = []  # a torn file starts a fresh trajectory
-    history.append(
-        {
-            "unix_time": int(time.time()),
-            "machine": _machine(),
-            "results": dict(_TRAJECTORY),
-        }
-    )
-    path.write_text(json.dumps({"trajectory": history}, indent=2) + "\n")
+    if _TRAJECTORY:
+        append_trajectory(ROOT / "BENCH_loadgen.json", dict(_TRAJECTORY))
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +216,6 @@ def test_bench_cluster_workers(warm_store, tmp_path_factory):
     }
     print(
         f"\ncluster: 1 worker {single_rps:.0f} req/s -> 4 workers "
-        f"{quad_rps:.0f} req/s ({speedup:.2f}x) on {_machine()['cores']} cores"
+        f"{quad_rps:.0f} req/s ({speedup:.2f}x) on {machine()['cores']} cores"
     )
     assert single_rps > 0 and quad_rps > 0

@@ -12,7 +12,6 @@ serial vs parallel) additionally append one trajectory entry to
 with the history and perf regressions surface in review.
 """
 
-import json
 import os
 import random
 import time
@@ -23,9 +22,12 @@ import pytest
 from repro.core import classify, compute_metrics
 from repro.core.diff import diff_schemas
 from repro.core.history import SchemaHistory, SchemaVersion
+from repro.loadgen import append_trajectory
 from repro.pipeline import SchemaCache
 from repro.schema import build_schema
 from repro.sqlddl import parse_script, tokenize
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Collected by the pipeline benchmarks; flushed to BENCH_pipeline.json.
 _TRAJECTORY: dict[str, dict] = {}
@@ -35,17 +37,8 @@ _TRAJECTORY: dict[str, dict] = {}
 def bench_trajectory():
     """Append this run's pipeline numbers to the trajectory file."""
     yield
-    if not _TRAJECTORY:
-        return
-    path = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
-    history = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text()).get("trajectory", [])
-        except (json.JSONDecodeError, OSError):
-            history = []  # a torn file starts a fresh trajectory
-    history.append({"unix_time": int(time.time()), "results": dict(_TRAJECTORY)})
-    path.write_text(json.dumps({"trajectory": history}, indent=2) + "\n")
+    if _TRAJECTORY:
+        append_trajectory(ROOT / "BENCH_pipeline.json", dict(_TRAJECTORY))
 
 
 def _dump_text(n_tables: int, seed: int = 7) -> str:

@@ -19,7 +19,6 @@ to ``BENCH_serve.json`` at the repository root:
 
 from __future__ import annotations
 
-import json
 import os
 import resource
 import threading
@@ -29,10 +28,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.loadgen import append_trajectory
 from repro.serve import CorpusService, start_server
 from repro.store import CorpusStore, MetricRange, ingest_corpus, ingest_stream
 from repro.synthesis import CorpusSpec, build_corpus
 from repro.synthesis.stream import StreamSpec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Collected below; flushed to BENCH_serve.json once per module.
 _TRAJECTORY: dict[str, dict] = {}
@@ -42,17 +44,8 @@ _TRAJECTORY: dict[str, dict] = {}
 def serve_trajectory():
     """Append this run's store/serve numbers to the trajectory file."""
     yield
-    if not _TRAJECTORY:
-        return
-    path = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-    history = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text()).get("trajectory", [])
-        except (json.JSONDecodeError, OSError):
-            history = []  # a torn file starts a fresh trajectory
-    history.append({"unix_time": int(time.time()), "results": dict(_TRAJECTORY)})
-    path.write_text(json.dumps({"trajectory": history}, indent=2) + "\n")
+    if _TRAJECTORY:
+        append_trajectory(ROOT / "BENCH_serve.json", dict(_TRAJECTORY))
 
 
 @pytest.fixture(scope="module")

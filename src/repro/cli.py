@@ -72,7 +72,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 from repro import __version__
-from repro.core import analyze_corpus, classify
+from repro.core import IncompleteCorpusError, analyze_corpus, classify
 from repro.obs import (
     TraceRecorder,
     install_recorder,
@@ -646,11 +646,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    import hashlib
+    from urllib.parse import quote
 
-    from repro.advisor import AdvisorError, advise
-    from repro.serve.service import render_body
-    from repro.store import AdviceConflict, resolve_store
+    from repro.serve import CorpusService
+    from repro.store import resolve_store
 
     opts: RunOptions = args.options
     if args.proposal == "-":
@@ -662,57 +661,22 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CliError("bad_proposal", f"cannot read {args.proposal}: {exc}")
     with resolve_store(args.db) as store:
-        ref = int(args.project) if args.project.isdigit() else args.project
-        stored = store.get_project(ref)
-        if stored is None:
-            raise CliError("unknown_project", f"unknown project: {args.project}")
-        history = store.project_history(stored.name)
-        if history is None or not history.history.versions:
-            raise CliError(
-                "no_history",
-                f"{stored.name} has no stored schema history to advise against",
-            )
-        # The exact contract of POST /v1/projects/{id}/advise: the key
-        # defaults to a body-derived hash, a replay returns the stored
-        # bytes, and a key reused with a different body is a conflict.
-        body_sha256 = hashlib.sha256(render_body({"ddl": ddl})).hexdigest()
-        key = args.key or f"sha256:{body_sha256}"
-        existing = store.lookup_advice(stored.name, key)
-        if existing is not None and existing.body_sha256 == body_sha256:
-            payload = json.loads(existing.response.decode("utf-8"))
-            replayed = True
-        else:
-            try:
-                advice = advise(
-                    history,
-                    ddl,
-                    project_id=stored.id,
-                    taxon=stored.taxon,
-                    heartbeat_rows=store.heartbeat_rows(stored.name) or [],
-                )
-            except AdvisorError as exc:
-                raise CliError("bad_proposal", str(exc))
-
-            def build_response(advice_id: int) -> bytes:
-                return render_body(
-                    {
-                        "advice_id": advice_id,
-                        "idempotency_key": key,
-                        **advice.payload(),
-                    }
-                )
-
-            try:
-                record, replayed = store.record_advice(
-                    project_id=stored.id,
-                    project=stored.name,
-                    idempotency_key=key,
-                    body_sha256=body_sha256,
-                    build_response=build_response,
-                )
-            except AdviceConflict as exc:
-                raise CliError("idempotency_conflict", str(exc))
-            payload = json.loads(record.response.decode("utf-8"))
+        # The write path of POST /v1/projects/{id}/advise itself: the
+        # same key default, replay, conflict check and advice ledger.
+        response = CorpusService(store, cache_capacity=0).handle(
+            f"/v1/projects/{quote(args.project, safe='')}/advise",
+            {},
+            method="POST",
+            body={"ddl": ddl},
+            idempotency_key=args.key,
+        )
+    payload = response.payload
+    if response.status != 200:
+        code = {404: "unknown_project", 409: "idempotency_conflict"}.get(
+            response.status, "bad_proposal"
+        )
+        raise CliError(code, payload["error"]["message"])
+    replayed = ("Idempotency-Replayed", "true") in response.headers
     if opts.json:
         print(json.dumps(payload, sort_keys=True))
         return 0
@@ -968,12 +932,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _observed(args.options, args.command):
             return args.func(args)
+    except IncompleteCorpusError as exc:  # report and export render every taxon
+        return _fail(args.options, CliError("incomplete_corpus", str(exc)))
     except CliError as exc:
-        if args.options.json:
-            print(json.dumps(exc.envelope(), sort_keys=True), file=sys.stderr)
-        else:
-            print(f"error: {exc.message}", file=sys.stderr)
-        return exc.exit_code
+        return _fail(args.options, exc)
+
+
+def _fail(options: RunOptions, exc: CliError) -> int:
+    """Print *exc* as ``main`` promises and return its exit code."""
+    if options.json:
+        print(json.dumps(exc.envelope(), sort_keys=True), file=sys.stderr)
+    else:
+        print(f"error: {exc.message}", file=sys.stderr)
+    return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,7 +18,12 @@ from repro.core.heartbeat import (
 from repro.core.metrics import ProjectMetrics, TransitionMetrics, compute_metrics
 from repro.core.taxa import Taxon, TaxonRules, classify, classify_metrics
 from repro.core.project import ProjectHistory, RepoStats
-from repro.core.analysis import CorpusAnalysis, TaxonProfile, analyze_corpus
+from repro.core.analysis import (
+    CorpusAnalysis,
+    IncompleteCorpusError,
+    TaxonProfile,
+    analyze_corpus,
+)
 from repro.core.renames import RenameAwareDiff, detect_table_renames, diff_with_rename_detection
 from repro.core.shapes import LineShape, classify_line, line_shape_of, shape_shares
 from repro.core.nonactive import NonActiveKind, categorize_nonactive, nonactive_breakdown
@@ -29,6 +34,7 @@ __all__ = [
     "DEFAULT_REED_LIMIT",
     "Heartbeat",
     "HeartbeatEntry",
+    "IncompleteCorpusError",
     "LineShape",
     "NonActiveKind",
     "ProjectHistory",

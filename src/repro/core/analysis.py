@@ -79,6 +79,23 @@ class TaxonProfile:
         return sum(p.ddl_commit_share for p in self.projects) / len(self.projects)
 
 
+class IncompleteCorpusError(ValueError):
+    """A corpus with no studied project in a taxon the figures compare.
+
+    The Kruskal-Wallis tests, effect sizes, quartiles and box plots of
+    the report compare every taxon of :data:`TAXA_ORDER`; each needs at
+    least one project.  ``empty`` names the taxa that have none.
+    """
+
+    def __init__(self, empty: tuple[Taxon, ...]) -> None:
+        self.empty = empty
+        names = ", ".join(taxon.value for taxon in empty)
+        super().__init__(
+            f"the corpus has no studied project in {len(empty)} of the"
+            f" {len(TAXA_ORDER)} taxa the figures compare: {names}"
+        )
+
+
 @dataclass(frozen=True)
 class CorpusAnalysis:
     """The full analysis of a corpus of measured projects."""
@@ -101,6 +118,13 @@ class CorpusAnalysis:
     def population(self, taxon: Taxon) -> int:
         profile = self.profiles.get(taxon)
         return profile.count if profile else 0
+
+    def require_every_taxon(self) -> None:
+        """Raise :class:`IncompleteCorpusError` unless every taxon of
+        :data:`TAXA_ORDER` has a project (the check before rendering)."""
+        empty = tuple(taxon for taxon in TAXA_ORDER if self.population(taxon) == 0)
+        if empty:
+            raise IncompleteCorpusError(empty)
 
     def share_of_studied(self, taxon: Taxon) -> float:
         if self.studied_count == 0:

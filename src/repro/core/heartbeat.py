@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 #: The paper's published reed limit: activity strictly above this is a reed.
 DEFAULT_REED_LIMIT = 14
@@ -100,23 +100,3 @@ def derive_reed_limit(
     cut = math.ceil(quantile * len(ordered)) - 1
     cut = max(0, min(cut, len(ordered) - 1))
     return ordered[cut]
-
-
-def heartbeat_of(diff_series: Iterable, timestamps: Sequence[int]) -> Heartbeat:
-    """Build a Heartbeat from a sequence of TransitionDiff objects.
-
-    ``timestamps[i]`` is the commit time of transition ``i+1``'s newer
-    version.  (Provided as a convenience; :mod:`repro.core.metrics`
-    builds heartbeats as part of full metric computation.)
-    """
-    entries = []
-    for index, diff in enumerate(diff_series):
-        entries.append(
-            HeartbeatEntry(
-                transition_id=index + 1,
-                timestamp=timestamps[index],
-                expansion=diff.expansion,
-                maintenance=diff.maintenance,
-            )
-        )
-    return Heartbeat(entries=tuple(entries))

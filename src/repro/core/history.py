@@ -23,10 +23,6 @@ class SchemaVersion:
     timestamp: int
     schema: Schema
 
-    @property
-    def is_v0(self) -> bool:
-        return self.index == 0
-
 
 @dataclass(frozen=True)
 class SchemaHistory:

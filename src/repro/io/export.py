@@ -212,7 +212,12 @@ def export_study(
     cache counters) is written as well.  It is off by default because
     timings vary run to run, and the default artifact set is expected
     to be byte-identical across runs and ``--jobs`` settings.
+
+    A corpus with no project in a compared taxon raises
+    :class:`~repro.core.analysis.IncompleteCorpusError` before any file
+    is written.
     """
+    analysis.require_every_taxon()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     everything = report.studied + report.rigid

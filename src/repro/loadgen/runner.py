@@ -24,6 +24,8 @@ server behaviour) — the determinism tests compare exactly that.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -266,13 +268,25 @@ def comparable_fields(report: dict) -> dict:
     return out
 
 
+def machine() -> dict:
+    """Who measured: numbers are only comparable on like hardware."""
+    cores = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count()
+    )
+    return {"cores": cores, "python": platform.python_version()}
+
+
 def append_trajectory(path: str | Path, results: dict) -> None:
-    """Append one ``{"unix_time", "results"}`` entry to a trajectory file."""
+    """Append one ``{"unix_time", "machine", "results"}`` entry to a
+    ``BENCH_*.json`` trajectory file (the one writer of those files)."""
     path = Path(path)
     try:
         history = json.loads(path.read_text()).get("trajectory", [])
     except (OSError, json.JSONDecodeError):
         history = []  # a torn or absent file starts a fresh trajectory
-    history.append({"unix_time": int(time.time()), "results": results})
+    history.append(
+        {"unix_time": int(time.time()), "machine": machine(), "results": results}
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"trajectory": history}, indent=2) + "\n")

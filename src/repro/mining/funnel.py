@@ -150,7 +150,6 @@ def run_funnel(
     jobs: int = 1,
     cache_dir: str | None = None,
     cache: SchemaCache | None = None,
-    pipeline: MeasurementPipeline | None = None,
     retry: RetryPolicy = NO_RETRY,
     project_deadline: float | None = None,
     injector: FaultInjector | None = None,
@@ -162,8 +161,7 @@ def run_funnel(
     ``jobs > 1``) — results are input-ordered, so every job count
     yields identical reports.  ``cache_dir`` enables
     the on-disk parse/diff cache; ``cache`` shares an in-memory cache
-    across runs; ``pipeline`` substitutes a fully custom pipeline (it
-    wins over the other knobs).  ``retry``/``project_deadline``/
+    across runs.  ``retry``/``project_deadline``/
     ``injector`` are the resilience knobs (see :mod:`repro.resilience`):
     bounded retries per project, a wall-clock budget per project, and
     seeded chaos.
@@ -181,15 +179,14 @@ def run_funnel(
     )
     report.lib_io_projects = len(tasks)
 
-    if pipeline is None:
-        pipeline = MeasurementPipeline(
-            provider,
-            PipelineConfig(
-                policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
-                retry=retry, project_deadline=project_deadline, injector=injector,
-            ),
-            cache=cache,
-        )
+    pipeline = MeasurementPipeline(
+        provider,
+        PipelineConfig(
+            policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
+            retry=retry, project_deadline=project_deadline, injector=injector,
+        ),
+        cache=cache,
+    )
     for ctx in pipeline.run(tasks):
         if ctx.outcome is Outcome.ZERO_VERSIONS:
             report.removed_zero_versions += 1

@@ -291,6 +291,7 @@ class ExperimentSuite:
         return "\n\n".join(parts)
 
     def render_all(self) -> str:
+        self.analysis.require_every_taxon()
         tests = overall_tests(self.analysis)
         _, scatter = fig10_report(self.analysis)
         _, boxes = fig13_report(self.analysis)

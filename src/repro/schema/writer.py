@@ -10,7 +10,6 @@ would on a cloned repository.  Round-trip stability
 from __future__ import annotations
 
 from repro.schema.model import Attribute, Schema, Table
-from repro.sqlddl.ast import ColumnDef, CreateTable, ConstraintKind
 
 
 def render_column(attribute: Attribute) -> str:
@@ -43,25 +42,3 @@ def render_schema(schema: Schema, header: str | None = None, engine: str = "Inno
         parts.append(render_create_table(table, engine=engine))
         parts.append("")
     return "\n".join(parts).rstrip() + "\n" if parts else ""
-
-
-def render_create_statement(create: CreateTable) -> str:
-    """Render a parsed CREATE TABLE AST node back to SQL (diagnostics)."""
-    lines = [f"CREATE TABLE `{create.name}` ("]
-    body = []
-    for column in create.columns:
-        parts = [f"  `{column.name}`", column.data_type.render()]
-        if not column.nullable:
-            parts.append("NOT NULL")
-        if column.auto_increment:
-            parts.append("AUTO_INCREMENT")
-        if column.default is not None:
-            parts.append(f"DEFAULT {column.default}")
-        body.append(" ".join(parts))
-    for constraint in create.constraints:
-        if constraint.kind is ConstraintKind.PRIMARY_KEY:
-            quoted = ", ".join(f"`{c}`" for c in constraint.columns)
-            body.append(f"  PRIMARY KEY ({quoted})")
-    lines.append(",\n".join(body))
-    lines.append(");")
-    return "\n".join(lines)

@@ -64,12 +64,6 @@ _OWNER_NAMES = (
     "oscorp", "gringotts", "duff", "vandelay", "sirius", "nakatomi",
 )
 
-_SQL_TYPES = (
-    "INT", "BIGINT", "SMALLINT", "VARCHAR(255)", "VARCHAR(64)",
-    "VARCHAR(32)", "TEXT", "DATETIME", "DATE", "TIMESTAMP", "DECIMAL(10,2)",
-    "BOOLEAN", "DOUBLE", "FLOAT", "CHAR(2)", "MEDIUMTEXT", "BLOB",
-)
-
 
 class NameForge:
     """Collision-free name supplier bound to one RNG."""
@@ -105,9 +99,6 @@ class NameForge:
         while f"field_{index}" in taken:
             index += 1
         return f"field_{index}"
-
-    def sql_type(self) -> str:
-        return self._rng.choice(_SQL_TYPES)
 
     def project_name(self, taken: set[str]) -> str:
         """A fresh "owner/project" repository name."""

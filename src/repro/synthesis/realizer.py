@@ -95,11 +95,6 @@ class _WorkingSchema:
         return text.encode("utf-8")
 
 
-class RealizationError(Exception):
-    """A plan could not be realized (should never happen for plans
-    produced by :func:`repro.synthesis.plan.plan_project`)."""
-
-
 def _new_table(forge: NameForge, rng: random.Random, n_attrs: int) -> _MutableTable:
     name = forge.table_name()
     attributes: list[tuple[str, DataType, bool]] = []

@@ -60,10 +60,6 @@ class Commit:
     def is_merge(self) -> bool:
         return len(self.parents) > 1
 
-    @property
-    def is_root(self) -> bool:
-        return not self.parents
-
     def changed_paths(self) -> frozenset[str]:
         return frozenset(change.path for change in self.changes)
 

@@ -268,6 +268,39 @@ class TestJsonEnvelope:
         assert envelope["error"]["code"] == "empty_store"
         assert "repro ingest" in envelope["error"]["message"]
 
+    def test_a_stream_store_without_every_taxon_is_an_incomplete_corpus(
+        self, tmp_path, capsys
+    ):
+        """The light stream profile synthesizes four of the six studied
+        taxa: ``report`` and ``export`` name the empty ones and write
+        nothing."""
+        db = tmp_path / "stream.db"
+        assert main(["ingest", "--db", str(db), "--stream", "--count", "40",
+                     "--seed", "3"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "export"
+        for argv in (
+            ["report", "--from-store", str(db), "--json"],
+            ["export", "--from-store", str(db), "--out", str(out), "--json"],
+        ):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            error = json.loads(captured.err)["error"]
+            assert error["code"] == "incomplete_corpus"
+            assert "focused shot and low" in error["message"]
+        assert not out.exists()
+        assert main(["report", "--from-store", str(db)]) == 1
+        assert capsys.readouterr().err.startswith("error: the corpus has no studied")
+
+    def test_a_funnel_run_that_loses_a_taxon_is_an_incomplete_corpus(self, capsys):
+        code = main(["report", "--scale", "0.05", "--seed", "3", "--json",
+                     "--inject-faults", "0.5", "--fault-seed", "7"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "incomplete_corpus"
+        assert error["message"].endswith("moderate")
+
 
 class TestChaosFlags:
     def test_chaos_funnel_completes_and_is_deterministic(self, capsys):
@@ -431,3 +464,45 @@ class TestAdviseCommand:
         assert code == 1
         envelope = json.loads(capsys.readouterr().err)
         assert envelope["error"]["code"] == "bad_proposal"
+
+    def test_a_cli_key_replays_byte_identically_over_http(
+        self, db_path, proposal, capsys
+    ):
+        """``repro advise`` writes the ledger row ``POST /v1/.../advise``
+        replays: the same key and body answer the CLI's bytes."""
+        import urllib.request
+
+        from repro.serve import start_server
+        from repro.store import CorpusStore
+
+        assert main([
+            "advise", str(proposal), "--db", str(db_path),
+            "--project", "ok/beta", "--key", "cli-http-1", "--json",
+        ]) == 0
+        printed = capsys.readouterr().out.strip().encode("utf-8")
+        with CorpusStore(db_path) as store:
+            server, thread = start_server(store, port=0)
+            try:
+                request = urllib.request.Request(
+                    server.url + "/v1/projects/ok%2Fbeta/advise",
+                    data=json.dumps({"ddl": proposal.read_text()}).encode("utf-8"),
+                    method="POST",
+                    headers={
+                        "Content-Type": "application/json",
+                        "Idempotency-Key": "cli-http-1",
+                    },
+                )
+                with urllib.request.urlopen(request, timeout=10) as resp:
+                    status, headers, body = resp.status, resp.headers, resp.read()
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=10)
+            rows = [
+                r for r in store.advice_records("ok/beta")
+                if r.idempotency_key == "cli-http-1"
+            ]
+        assert status == 200
+        assert headers["Idempotency-Replayed"] == "true"
+        assert body == printed == rows[0].response
+        assert len(rows) == 1

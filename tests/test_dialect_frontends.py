@@ -271,13 +271,6 @@ def _mixed_store(tmp_path, count=30, seed=7, name="corpus.sqlite"):
 
 
 class TestStoreDialect:
-    def test_mixed_ingest_counts(self, tmp_path):
-        store = _mixed_store(tmp_path)
-        counts = store.aggregates()["by_dialect"]
-        assert set(counts) == set(MIXED)
-        assert sum(counts.values()) == 30
-        assert store.dialects() == list(sorted(MIXED))
-
     def test_dialect_filter_pages(self, tmp_path):
         store = _mixed_store(tmp_path)
         page = store.query_projects(dialect="postgresql", limit=100)
@@ -324,23 +317,6 @@ class TestStoreDialect:
                 )
             }
         assert "idx_projects_dialect_id" in names
-
-    def test_sharded_parity(self, tmp_path):
-        from repro.store import ShardedCorpusStore
-
-        single = _mixed_store(tmp_path, name="single.sqlite")
-        sharded = ShardedCorpusStore(tmp_path / "sharded.sqlite", shards=3)
-        ingest_stream(sharded, StreamSpec(seed=7, count=30, dialects=MIXED))
-        assert sharded.aggregates()["by_dialect"] == single.aggregates()["by_dialect"]
-        assert sharded.taxa_by_dialect() == single.taxa_by_dialect()
-        assert sharded.dialect_profiles() == single.dialect_profiles()
-        assert sharded.dialects() == single.dialects()
-        for dialect in MIXED:
-            lhs = sharded.query_projects(dialect=dialect, limit=100)
-            rhs = single.query_projects(dialect=dialect, limit=100)
-            assert lhs.total == rhs.total
-            assert [p.name for p in lhs.projects] == [p.name for p in rhs.projects]
-
 
 class TestStreamDialects:
     def test_default_spec_is_byte_identical(self):

@@ -1,15 +1,10 @@
 """Tests for the six-category schema diff."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.diff import ChangeKind, diff_schemas
-from repro.schema import Attribute, Schema, Table, build_schema
-from repro.sqlddl.types import DataType
-
-INT = DataType("INT")
-BIGINT = DataType("BIGINT")
-TEXT = DataType("TEXT")
+from repro.schema import build_schema
+from tests.test_smo import random_schema
 
 
 def schema_of(sql):
@@ -170,27 +165,6 @@ class TestAggregates:
 
 
 # -- property-based invariants ------------------------------------------
-
-_types = st.sampled_from([INT, BIGINT, TEXT, DataType("VARCHAR", ("64",))])
-_names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
-
-
-@st.composite
-def random_schema(draw):
-    n_tables = draw(st.integers(min_value=0, max_value=4))
-    chosen = []
-    seen = set()
-    while len(chosen) < n_tables:
-        name = draw(_names)
-        if name in seen:
-            continue
-        seen.add(name)
-        cols = draw(st.lists(_names, min_size=1, max_size=5, unique_by=str.lower))
-        attributes = tuple(Attribute(c, draw(_types)) for c in cols)
-        pk = tuple(cols[: draw(st.integers(0, min(2, len(cols))))])
-        chosen.append(Table(name, attributes, pk))
-    return Schema(tuple(chosen))
-
 
 class TestDiffProperties:
     @given(schema=random_schema())

@@ -1,21 +1,17 @@
 """Tests of the staged measurement pipeline.
 
-Fault isolation (one malformed project must not abort the corpus),
-parallel determinism (``jobs=1`` and ``jobs=4`` yield byte-identical
-artifacts), and the content-hash cache (a warm re-run performs zero
-``build_schema`` calls, in memory and across processes via the disk
-layer).
+Fault isolation (one malformed project must not abort the corpus) and
+the content-hash cache (a warm re-run performs zero ``build_schema``
+calls, in memory and across processes via the disk layer).  That every
+job count yields byte-identical artifacts is checked by
+``tests/test_identity.py``.
 """
 
 from __future__ import annotations
 
-import filecmp
-
 import pytest
 
-from repro.core import analyze_corpus
 from repro.core.diff import diff_schemas
-from repro.io import export_study
 from repro.mining import (
     GithubActivityDataset,
     LibrariesIoDataset,
@@ -158,39 +154,6 @@ class TestFaultIsolation:
         assert report.failures[0].stage == "extract"
         assert report.failures[0].error == "RuntimeError"
         assert [p.name for p in report.studied] == ["ok/alpha"]
-
-
-@pytest.mark.slow
-class TestParallelDeterminism:
-    @pytest.fixture(scope="class")
-    def runs(self, tmp_path_factory, corpus):
-        """One funnel run and export per job count, shared by both tests."""
-        reports, out = {}, {}
-        for jobs in (1, 4):
-            reports[jobs] = report = corpus.run_funnel(jobs=jobs)
-            analysis = analyze_corpus(report.studied + report.rigid)
-            out[jobs] = tmp_path_factory.mktemp(f"jobs{jobs}")
-            export_study(out[jobs], report, analysis)
-        return reports, out
-
-    def test_reports_identical_across_job_counts(self, runs):
-        reports, _ = runs
-        serial, parallel = reports[1], reports[4]
-        assert [p.name for p in serial.studied] == [p.name for p in parallel.studied]
-        assert [p.name for p in serial.rigid] == [p.name for p in parallel.rigid]
-        for a, b in zip(serial.studied, parallel.studied):
-            assert a.metrics == b.metrics
-        assert serial.stage_rows() == parallel.stage_rows()
-
-    def test_exported_artifacts_byte_identical(self, runs):
-        _, out = runs
-        files1 = sorted(p.relative_to(out[1]) for p in out[1].rglob("*") if p.is_file())
-        files4 = sorted(p.relative_to(out[4]) for p in out[4].rglob("*") if p.is_file())
-        assert files1 == files4 and files1
-        for relative in files1:
-            assert filecmp.cmp(out[1] / relative, out[4] / relative, shallow=False), (
-                f"{relative} differs between jobs=1 and jobs=4"
-            )
 
 
 class TestCache:

@@ -5,8 +5,9 @@ on: an unsharded store and a K-shard store ingested from the same
 corpus must be *indistinguishable* through the query API — identical
 content hash (so ETag/304 and the response cache hold), identical
 pagination windows, identical aggregates to the last rounded digit,
-and byte-identical rendered ``/v1`` bodies and study exports.  Plus
-the sharding-specific machinery: stable name-hash routing, the
+and byte-identical rendered ``/v1`` bodies (study exports across
+layouts are ``tests/test_identity.py``'s).  Plus the
+sharding-specific machinery: stable name-hash routing, the
 AUTOINCREMENT-faithful global id high-water mark, autodetection via
 :func:`resolve_store`, and per-shard circuit breakers surfacing as
 :class:`CircuitOpen` (degrade path) rather than :class:`StoreError`
@@ -15,11 +16,8 @@ AUTOINCREMENT-faithful global id high-water mark, autodetection via
 
 from __future__ import annotations
 
-import filecmp
-
 import pytest
 
-from repro.io import export_from_store
 from repro.resilience.policy import CircuitOpen
 from repro.serve import CorpusService
 from repro.serve.cursors import encode_project_cursor
@@ -247,29 +245,3 @@ class TestBreakers:
             with pytest.raises(StoreError):
                 sharded.query_projects(limit=0)
         assert sharded.query_projects().projects  # breakers still closed
-
-
-@pytest.mark.slow
-class TestShardedExport:
-    def test_sharded_export_is_byte_identical(self, tmp_path, corpus):
-        plain = CorpusStore(tmp_path / "plain.db")
-        ingest_corpus(plain, corpus.activity, corpus.lib_io, corpus.provider)
-        sharded = ShardedCorpusStore(tmp_path / "sharded.db", shards=4)
-        ingest_corpus(sharded, corpus.activity, corpus.lib_io, corpus.provider)
-        assert sharded.content_hash() == plain.content_hash()
-        plain_dir, sharded_dir = tmp_path / "plain-out", tmp_path / "sharded-out"
-        export_from_store(plain_dir, plain)
-        export_from_store(sharded_dir, sharded)
-        plain_files = sorted(
-            p.relative_to(plain_dir) for p in plain_dir.rglob("*") if p.is_file()
-        )
-        sharded_files = sorted(
-            p.relative_to(sharded_dir) for p in sharded_dir.rglob("*") if p.is_file()
-        )
-        assert plain_files == sharded_files and plain_files
-        for relative in plain_files:
-            assert filecmp.cmp(
-                plain_dir / relative, sharded_dir / relative, shallow=False
-            ), f"{relative} differs between unsharded and sharded export"
-        plain.close()
-        sharded.close()

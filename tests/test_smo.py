@@ -1,5 +1,7 @@
 """Tests for the SMO algebra: infer, apply, invert, and cost agreement."""
 
+from string import ascii_lowercase, digits
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,7 +278,11 @@ class TestInvert:
 # -- property-based contracts -------------------------------------------
 
 _types = st.sampled_from([INT, TEXT, DataType("BIGINT"), DataType("VARCHAR", ("64",))])
-_names = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+#: ``[a-z][a-z0-9_]{0,6}``, drawn without the regex engine.
+_names = st.tuples(
+    st.sampled_from(ascii_lowercase),
+    st.text(ascii_lowercase + digits + "_", max_size=6),
+).map("".join)
 
 
 @st.composite

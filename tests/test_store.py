@@ -3,19 +3,17 @@
 Coverage demanded by the subsystem's contract: ingest -> query equality
 with a direct ``run_funnel`` result, incremental re-ingest measuring
 zero projects (proven by pipeline stats counters), failure records
-surviving persistence, consistent snapshots under concurrent readers,
-and byte-identical store-backed export.
+surviving persistence and consistent snapshots under concurrent
+readers.  That a store-backed export is byte-identical to the direct
+one is checked by ``tests/test_identity.py``.
 """
 
 from __future__ import annotations
 
-import filecmp
 import threading
 
 import pytest
 
-from repro.core import analyze_corpus
-from repro.io import export_from_store, export_study
 from repro.mining import (
     GithubActivityDataset,
     LibrariesIoDataset,
@@ -372,44 +370,6 @@ class TestConcurrentReaders:
         for thread in threads:
             thread.join(timeout=60)
         assert errors == []
-        store.close()
-
-
-@pytest.mark.slow
-class TestStoreExport:
-    def test_store_export_is_byte_identical_to_direct_export(
-        self, tmp_path, corpus, funnel_report, analysis
-    ):
-        direct_dir = tmp_path / "direct"
-        export_study(direct_dir, funnel_report, analysis)
-        store = CorpusStore(tmp_path / "corpus.db")
-        report = ingest_corpus(store, corpus.activity, corpus.lib_io, corpus.provider)
-        assert report.measured > 0
-        store_dir = tmp_path / "from-store"
-        export_from_store(store_dir, store)
-        direct_files = sorted(
-            p.relative_to(direct_dir) for p in direct_dir.rglob("*") if p.is_file()
-        )
-        store_files = sorted(
-            p.relative_to(store_dir) for p in store_dir.rglob("*") if p.is_file()
-        )
-        assert direct_files == store_files and direct_files
-        for relative in direct_files:
-            assert filecmp.cmp(
-                direct_dir / relative, store_dir / relative, shallow=False
-            ), f"{relative} differs between direct and store-backed export"
-        store.close()
-
-    def test_experiment_suite_from_store_renders_identically(
-        self, tmp_path, corpus, funnel_report, analysis
-    ):
-        from repro.reporting import ExperimentSuite
-
-        store = CorpusStore(tmp_path / "corpus.db")
-        ingest_corpus(store, corpus.activity, corpus.lib_io, corpus.provider)
-        direct = ExperimentSuite(funnel_report, analysis).render_all()
-        stored = ExperimentSuite.from_store(store).render_all()
-        assert stored == direct
         store.close()
 
 

@@ -1,11 +1,11 @@
 """Tests of streaming synthesis and constant-memory batched ingest.
 
 The contract under test: any slice of a seeded stream is reproducible
-in isolation (per-project seeds), streamed ingest is byte-identical to
-materialize-then-ingest (the ``content_hash`` gate), chunk size and
-sharding never change the bytes, an interrupted run resumes from its
+in isolation (per-project seeds), an interrupted run resumes from its
 checkpoint index, and Python-side peak memory tracks the chunk size —
-not the stream length.
+not the stream length.  That streamed and materialized ingest, chunk
+sizes, job counts and layouts never change the bytes is checked by
+``tests/test_identity.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.heartbeat import DEFAULT_REED_LIMIT
 from repro.store import (
     CorpusStore,
     INGEST_CHECKPOINT_KEY,
-    ShardedCorpusStore,
     ingest_corpus,
     ingest_stream,
 )
@@ -90,60 +89,6 @@ class TestStreamDeterminism:
         assert profile_archetypes("light") is LIGHT_ARCHETYPES
         for archetype in LIGHT_ARCHETYPES.values():
             assert archetype.population > 0
-
-
-class TestByteIdentity:
-    def test_streamed_ingest_equals_materialized_ingest(self, tmp_path):
-        spec = StreamSpec(seed=7, count=18, profile="light")
-        with CorpusStore(tmp_path / "stream.db") as streamed:
-            ingest_stream(streamed, spec, chunk_size=5)
-            stream_hash = streamed.content_hash()
-        corpus = materialize_stream(spec)
-        with CorpusStore(tmp_path / "classic.db") as classic:
-            ingest_corpus(
-                classic, corpus.activity, corpus.lib_io, corpus.provider
-            )
-            assert classic.content_hash() == stream_hash
-
-    def test_chunk_size_never_changes_the_bytes(self, tmp_path):
-        spec = StreamSpec(seed=3, count=13)
-        corpus = materialize_stream(spec)
-        hashes, id_rows = set(), {}
-        for jobs in JOBS.values():
-            for source in ("stream", "corpus"):
-                for shards in (1, 3):
-                    for chunk in (1, 4, 13, 50):
-                        path = tmp_path / f"{jobs}-{source}-{shards}-{chunk}.db"
-                        store = (
-                            CorpusStore(path) if shards == 1
-                            else ShardedCorpusStore(path, shards=shards)
-                        )
-                        knobs = dict(chunk_size=chunk, jobs=jobs)
-                        with store:
-                            if source == "stream":
-                                ingest_stream(store, spec, **knobs)
-                            else:
-                                ingest_corpus(
-                                    store, corpus.activity, corpus.lib_io,
-                                    corpus.provider, **knobs,
-                                )
-                            hashes.add(store.content_hash())
-                            projects = store.query_projects().projects
-                            id_rows.setdefault(source, set()).add(
-                                tuple((p.id, p.name) for p in projects)
-                            )
-        assert len(hashes) == 1
-        # Row ids depend on neither the job count, the chunk size nor the layout.
-        assert all(len(rows) == 1 for rows in id_rows.values())
-
-    def test_sharded_matches_unsharded(self, tmp_path):
-        spec = StreamSpec(seed=11, count=16)
-        with CorpusStore(tmp_path / "one.db") as single:
-            ingest_stream(single, spec, chunk_size=6)
-            single_hash = single.content_hash()
-        with ShardedCorpusStore(tmp_path / "sharded.db", shards=3) as sharded:
-            ingest_stream(sharded, spec, chunk_size=6)
-            assert sharded.content_hash() == single_hash
 
 
 def _stream_record(spec, next_index, seed=None):

@@ -1,5 +1,7 @@
 """Tests for rendering schemata back to DDL, incl. round-trip property."""
 
+from string import ascii_lowercase, digits
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +62,11 @@ class TestRenderSchema:
 
 # -- property-based round-trip ------------------------------------------
 
-_identifier = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
+#: ``[a-z][a-z0-9_]{0,10}``, drawn without the regex engine.
+_identifier = st.tuples(
+    st.sampled_from(ascii_lowercase),
+    st.text(ascii_lowercase + digits + "_", max_size=10),
+).map("".join)
 
 _data_types = st.sampled_from(
     [
