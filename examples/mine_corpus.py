@@ -25,8 +25,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--jobs", type=int, default=1,
                         help="concurrent per-project measurement")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent parse/diff cache directory")
     args = parser.parse_args()
 
     started = time.time()
@@ -35,7 +33,7 @@ def main() -> None:
           f"({len(corpus.repos)} repositories)")
 
     started = time.time()
-    report = corpus.run_funnel(jobs=args.jobs, cache_dir=args.cache_dir)
+    report = corpus.run_funnel(jobs=args.jobs)
     print(f"funnel completed in {time.time() - started:.1f}s "
           f"({report.stats.cache.build_schema_calls} schema parses)\n")
 

@@ -45,9 +45,8 @@ Commands
 
 Every corpus-running command (and ``classify``) shares one option set,
 declared once on :class:`RunOptions`: the pipeline knobs ``--jobs N``
-(worker processes when ``N > 1``), ``--cache-dir DIR``
-and ``--stats``, the observability knobs
-``--trace FILE`` (write the run's span trace as JSONL) and
+(worker processes when ``N > 1``) and ``--stats``, the observability
+knobs ``--trace FILE`` (write the run's span trace as JSONL) and
 ``--profile`` (wrap the run in ``cProfile``, writing ``.pstats`` next
 to the trace), the resilience knobs ``--retries N`` (bounded
 per-project retries), ``--deadline SECONDS`` (per-project wall budget),
@@ -134,7 +133,6 @@ class RunOptions:
     seed: int = 2019
     scale: float = 1.0
     jobs: int = 1
-    cache_dir: str | None = None
     stats: bool = False
     trace: str | None = None
     profile: bool = False
@@ -192,10 +190,6 @@ class RunOptions:
                 "--jobs", type=int, default=1, metavar="N",
                 help="measure N projects concurrently on worker processes"
                      " (results are identical for any N)",
-            )
-            parser.add_argument(
-                "--cache-dir", default=None, metavar="DIR",
-                help="persist the parse/diff cache under DIR; re-runs skip all parsing",
             )
             parser.add_argument(
                 "--stats", action="store_true",
@@ -281,7 +275,6 @@ def _build(args: argparse.Namespace):
         corpus = build_corpus(spec)
     report = corpus.run_funnel(
         jobs=opts.jobs,
-        cache_dir=opts.cache_dir,
         retry=opts.retry_policy(),
         project_deadline=opts.deadline,
         injector=opts.injector(),
@@ -349,7 +342,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         provider=lambda _: None,
         config=PipelineConfig(
             jobs=opts.jobs,
-            cache_dir=opts.cache_dir,
             retry=opts.retry_policy(),
             project_deadline=opts.deadline,
             injector=opts.injector(),
@@ -440,7 +432,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     started = time.time()
     knobs = dict(
         jobs=opts.jobs,
-        cache_dir=opts.cache_dir,
         retry=opts.retry_policy(),
         project_deadline=opts.deadline,
         injector=opts.injector(),
@@ -800,7 +791,10 @@ def main(argv: list[str] | None = None) -> int:
         "--stream-profile", default="light", choices=["light", "paper"],
         help="calibration profile for --stream: 'light' preserves the"
              " taxon-classification signature at ~1/100th the cost of the"
-             " paper-fidelity archetypes",
+             " paper-fidelity archetypes, but synthesizes only four of the"
+             " six studied taxa, so `report` and `export` on its store end"
+             " in incomplete_corpus; 'paper' synthesizes all six, and its"
+             " stores render",
     )
     ingest.add_argument(
         "--batch-size", type=int, default=None, metavar="N",

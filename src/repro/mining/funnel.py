@@ -148,7 +148,6 @@ def run_funnel(
     policy: LinearizationPolicy = LinearizationPolicy.FULL,
     reed_limit: int = DEFAULT_REED_LIMIT,
     jobs: int = 1,
-    cache_dir: str | None = None,
     cache: SchemaCache | None = None,
     retry: RetryPolicy = NO_RETRY,
     project_deadline: float | None = None,
@@ -159,12 +158,13 @@ def run_funnel(
 
     ``jobs`` sets the pipeline's worker count (worker processes whenever
     ``jobs > 1``) — results are input-ordered, so every job count
-    yields identical reports.  ``cache_dir`` enables
-    the on-disk parse/diff cache; ``cache`` shares an in-memory cache
-    across runs.  ``retry``/``project_deadline``/
-    ``injector`` are the resilience knobs (see :mod:`repro.resilience`):
-    bounded retries per project, a wall-clock budget per project, and
-    seeded chaos.
+    yields identical reports.  ``cache`` is an in-memory
+    :class:`~repro.pipeline.SchemaCache` to share across runs; it serves
+    only the projects measured in the calling thread, every project at
+    ``jobs=1``, because worker processes build a fresh cache per slice.
+    ``retry``/``project_deadline``/``injector`` are the resilience knobs
+    (see :mod:`repro.resilience`): bounded retries per project, a
+    wall-clock budget per project, and seeded chaos.
 
     ``dialects`` is the enabled frontend set in preference order
     (canonical names; see :mod:`repro.sqlddl.dialects`): it drives the
@@ -182,7 +182,7 @@ def run_funnel(
     pipeline = MeasurementPipeline(
         provider,
         PipelineConfig(
-            policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
+            policy=policy, reed_limit=reed_limit, jobs=jobs,
             retry=retry, project_deadline=project_deadline, injector=injector,
         ),
         cache=cache,

@@ -5,10 +5,9 @@ same extract -> parse -> diff -> measure -> classify chain, and no
 project depends on any other.  This package turns that chain into an
 explicit, composable subsystem:
 
-- :mod:`repro.pipeline.cache` — content-hash memoization of parsing and
-  diffing (sha256 of the SQL blob -> parsed schema, schema-pair ->
-  transition diff), with an optional on-disk layer so repeated runs of
-  the same corpus skip all parsing;
+- :mod:`repro.pipeline.cache` — in-memory content-hash memoization of
+  parsing and diffing (sha256 of the SQL blob -> parsed schema,
+  schema-pair -> transition diff);
 - :mod:`repro.pipeline.stages` — the :class:`Stage` protocol and the
   five concrete stages, plus the :class:`ProjectFailure` record a
   crashing project demotes to instead of aborting the corpus;
@@ -21,7 +20,7 @@ explicit, composable subsystem:
   input-ordered result assembly and per-project fault isolation.
 
 ``mining.funnel.run_funnel`` delegates its per-project chain here; the
-CLI exposes the knobs as ``--jobs``, ``--cache-dir`` and ``--stats``.
+CLI exposes the knobs as ``--jobs`` and ``--stats``.
 """
 
 from repro.pipeline.cache import CacheCounters, SchemaCache

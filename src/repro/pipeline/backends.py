@@ -32,10 +32,11 @@ single task runs in the calling thread; more jobs run on worker
   is recorded via :meth:`PipelineStats.note_partition` for every run,
   in the calling thread or not, so identical inputs provably schedule
   identically.
-- **Cache sharing** — workers build their own :class:`SchemaCache`
-  over the same ``cache_dir``; the on-disk layer (atomic pid-unique
-  tmp + rename writes) is the shared medium.  In-memory counters ride
-  home with each slice and merge into the parent registry.
+- **Caches** — each worker builds a fresh in-memory
+  :class:`SchemaCache` per slice, so no cache is shared across
+  processes (a cache the caller hands a run serves only the projects
+  measured in the calling thread).  Its counters ride home with the
+  slice and merge into the parent registry.
 - **Observability relay** — each worker records spans into a private
   :class:`TraceRecorder` and metrics into a private
   :class:`MetricsRegistry`; finished slices ship both back, the parent
@@ -211,11 +212,10 @@ _PROFILE_DUMPS = itertools.count()
 def _run_worker_chunk(chunk: WorkerChunk, profile_dir: str | None) -> ChunkOutcome:
     """Execute one slice inside a worker process.
 
-    :func:`run_slice` under a fresh registry and cache (sharing only the
-    on-disk ``cache_dir``) and a private trace recorder whose spans ride
-    home in the outcome.  Contexts are stripped of their
-    repository/version payloads before pickling — the parent holds
-    those objects already, or does not need them.
+    :func:`run_slice` under a fresh registry and cache and a private
+    trace recorder whose spans ride home in the outcome.  Contexts are
+    stripped of their repository/version payloads before pickling — the
+    parent holds those objects already, or does not need them.
     """
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import TraceRecorder, recording, reset_tracing_for_worker
@@ -229,7 +229,7 @@ def _run_worker_chunk(chunk: WorkerChunk, profile_dir: str | None) -> ChunkOutco
         if profile_dir is not None
         else None
     )
-    cache = SchemaCache(chunk.config.cache_dir, registry=registry)
+    cache = SchemaCache(registry=registry)
     with recording(recorder), profiled(profile_path):
         outcome = run_slice(chunk, cache)
     for _, ctx in outcome.contexts:

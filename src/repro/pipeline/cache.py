@@ -10,9 +10,8 @@ their inputs, so both memoize safely under content hashes:
   hash of its canonical form (stable across processes).
 
 Identical blobs are rampant in real histories — a commit touching the
-DDL file without changing it, vendor files copied across projects, and
-whole corpora re-run after an unrelated code change — so the cache turns
-the dominant cost of a re-run into dictionary lookups.  Below the blob
+DDL file without changing it, vendor files copied across projects — so
+the cache turns much of the parse into dictionary lookups.  Below the blob
 level, consecutive versions of one history repeat most of their
 statements: the cache also owns the lenient parse's statement memo
 (:data:`~repro.sqlddl.parser.StatementMemo`), so a statement text is
@@ -22,21 +21,20 @@ unchanged ``CREATE TABLE`` is one shared :class:`~repro.schema.model.Table`
 in every version.  A schema's key is joined from per-table parts, each
 computed once per shared table, and the diff skips a shared table.
 
-An optional on-disk layer (``cache_dir``) persists both maps as pickles
-keyed by content hash; a warm re-run of the same corpus then performs
-zero ``build_schema`` calls, which the :class:`CacheCounters` expose for
-verification.  All methods are thread-safe: the parallel pipeline shares
-one cache across workers (the memos take plain dict reads and writes
-of immutable values; a lost update only repeats work).
+A cache lives in memory for as long as its owner keeps it: a pipeline
+builds one per run, ingest one per chunk, and each worker process one
+per slice.  A caller may hand one cache to several runs; it then serves
+the projects those runs measure in the calling thread, and a warm re-run
+there performs zero ``build_schema`` calls, which the
+:class:`CacheCounters` expose for verification.  All methods are
+thread-safe (the memos take plain dict reads and writes of immutable
+values; a lost update only repeats work).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import threading
-from pathlib import Path
 from typing import Callable
 
 from repro.core.diff import TransitionDiff, diff_schemas
@@ -52,7 +50,7 @@ CACHE_KINDS = ("schema", "diff", "scan")
 
 
 class CacheCounters:
-    """Hit/miss counters, split per cached function and per layer.
+    """Hit/miss counters, split per cached function.
 
     Every count lives in a :class:`~repro.obs.metrics.MetricsRegistry`
     (``repro_cache_hits_total{kind=...}`` and friends); the classic
@@ -71,15 +69,9 @@ class CacheCounters:
             kind: self.registry.counter("repro_cache_misses_total", kind=kind)
             for kind in CACHE_KINDS
         }
-        self._disk_hits = {
-            kind: self.registry.counter("repro_cache_disk_hits_total", kind=kind)
-            for kind in ("schema", "diff")
-        }
 
-    def hit(self, kind: str, disk: bool = False) -> None:
+    def hit(self, kind: str) -> None:
         self._hits[kind].inc()
-        if disk:
-            self._disk_hits[kind].inc()
 
     def miss(self, kind: str) -> None:
         self._misses[kind].inc()
@@ -95,21 +87,12 @@ class CacheCounters:
         return self._misses["schema"].value
 
     @property
-    def schema_disk_hits(self) -> int:
-        """Subset of ``schema_hits`` served from disk."""
-        return self._disk_hits["schema"].value
-
-    @property
     def diff_hits(self) -> int:
         return self._hits["diff"].value
 
     @property
     def diff_misses(self) -> int:
         return self._misses["diff"].value
-
-    @property
-    def diff_disk_hits(self) -> int:
-        return self._disk_hits["diff"].value
 
     @property
     def scan_hits(self) -> int:
@@ -128,10 +111,8 @@ class CacheCounters:
         return {
             "schema_hits": self.schema_hits,
             "schema_misses": self.schema_misses,
-            "schema_disk_hits": self.schema_disk_hits,
             "diff_hits": self.diff_hits,
             "diff_misses": self.diff_misses,
-            "diff_disk_hits": self.diff_disk_hits,
             "scan_hits": self.scan_hits,
             "scan_misses": self.scan_misses,
         }
@@ -152,8 +133,8 @@ def _dialect_key(key: str, dialect: str) -> str:
 def schema_key(schema: Schema) -> str:
     """Content hash of a parsed schema, stable across processes.
 
-    On-disk diff caches are keyed by it, so its bytes must not change;
-    :class:`SchemaCache` computes the same key from per-table parts.
+    :class:`SchemaCache` keys its diffs by the same bytes, computed from
+    per-table parts.
     """
     return hashlib.sha256(repr(schema.canonical()).encode()).hexdigest()
 
@@ -161,19 +142,13 @@ def schema_key(schema: Schema) -> str:
 class SchemaCache:
     """Memoizes parsing, collection scans, and diffing by content hash.
 
-    With ``cache_dir`` set, every miss is also persisted to disk
-    (``<dir>/schemas/<key>.pkl`` and ``<dir>/diffs/<key>.pkl``) and
-    future processes warm-start from there.  The statement memo that
-    :meth:`schema_for` and :meth:`has_create_table` share, the table
-    memo and the per-table key parts live as long as the cache (one
-    funnel run, one ingest worker slice) and never touch disk.
+    Every memo lives as long as the cache: the schema, scan and diff
+    maps, the statement memo that :meth:`schema_for` and
+    :meth:`has_create_table` share, the table memo and the per-table key
+    parts.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | Path | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._lock = threading.Lock()
         self._schemas: dict[str, Schema] = {}
         self._statements: StatementMemo = {}
@@ -185,24 +160,18 @@ class SchemaCache:
         self._diffs: dict[tuple[str, str], TransitionDiff] = {}
         self._schema_keys: dict[int, str] = {}  # id(schema) -> canonical key
         self.counters = CacheCounters(registry)
-        self._dir = Path(cache_dir) if cache_dir is not None else None
-        if self._dir is not None:
-            (self._dir / "schemas").mkdir(parents=True, exist_ok=True)
-            (self._dir / "diffs").mkdir(parents=True, exist_ok=True)
-            (self._dir / "scans").mkdir(parents=True, exist_ok=True)
 
     # -- parsing ----------------------------------------------------------
 
     def schema_for(
         self, text: str, lenient: bool = True, dialect: str = "mysql"
     ) -> Schema:
-        """The parsed schema of *text*, from memory, disk, or a parse.
+        """The parsed schema of *text*, from memory or a parse.
 
         ``dialect`` routes the parse through the named frontend; the
         cache key is dialect-qualified for every non-default dialect, so
         a mixed corpus can never serve a SQLite-affinity schema to a
-        MySQL task (or vice versa).  MySQL keys keep their historical
-        unqualified form — warm on-disk caches stay warm.
+        MySQL task (or vice versa).
         """
         key = _dialect_key(text_key(text, lenient), dialect)
         with self._lock:
@@ -210,32 +179,23 @@ class SchemaCache:
             if schema is not None:
                 self.counters.hit("schema")
                 return schema
-        schema = self._load_pickle("schemas", key)
-        if schema is None:
-            # The span makes warm runs provable from the trace alone:
-            # zero `build_schema` spans == zero parses happened.
-            with trace("build_schema", key=key[:12]):
-                schema = build_schema(
-                    text,
-                    lenient=lenient,
-                    dialect=dialect,
-                    memo=self._statements,
-                    table_memo=self._tables,
-                )
-            self._store_pickle("schemas", key, schema)
-            disk_hit = False
-        else:
-            disk_hit = True
+        # The span makes warm runs provable from the trace alone:
+        # zero `build_schema` spans == zero parses happened.
+        with trace("build_schema", key=key[:12]):
+            schema = build_schema(
+                text,
+                lenient=lenient,
+                dialect=dialect,
+                memo=self._statements,
+                table_memo=self._tables,
+            )
         canonical = self._canonical_key(schema)
         with self._lock:
             # Another worker may have raced us; keep the first object so
             # identical blobs share one Schema instance.
             schema = self._schemas.setdefault(key, schema)
             self._schema_keys[id(schema)] = canonical
-            if disk_hit:
-                self.counters.hit("schema", disk=True)
-            else:
-                self.counters.miss("schema")
+            self.counters.miss("schema")
         return schema
 
     def has_create_table(self, text: str, dialect: str = "mysql") -> bool:
@@ -249,21 +209,14 @@ class SchemaCache:
             if key in self._scans:
                 self.counters.hit("scan")
                 return self._scans[key]
-        verdict = self._load_pickle("scans", key)
-        disk_hit = verdict is not None
-        if not disk_hit:
-            with trace("scan_create_table", key=key[:12]):
-                verdict = any(
-                    isinstance(s, CreateTable)
-                    for s in parse_ddl(text, dialect, memo=self._statements)
-                )
-            self._store_pickle("scans", key, verdict)
+        with trace("scan_create_table", key=key[:12]):
+            verdict = any(
+                isinstance(s, CreateTable)
+                for s in parse_ddl(text, dialect, memo=self._statements)
+            )
         with self._lock:
             self._scans[key] = verdict
-            if disk_hit:
-                self.counters.hit("scan")
-            else:
-                self.counters.miss("scan")
+            self.counters.miss("scan")
         return verdict
 
     # -- diffing ----------------------------------------------------------
@@ -301,20 +254,11 @@ class SchemaCache:
             if diff is not None:
                 self.counters.hit("diff")
                 return diff
-        diff = self._load_pickle("diffs", f"{pair[0][:32]}__{pair[1][:32]}")
-        if diff is None:
-            with trace("diff_schemas"):
-                diff = diff_schemas(old, new)
-            self._store_pickle("diffs", f"{pair[0][:32]}__{pair[1][:32]}", diff)
-            disk_hit = False
-        else:
-            disk_hit = True
+        with trace("diff_schemas"):
+            diff = diff_schemas(old, new)
         with self._lock:
             self._diffs.setdefault(pair, diff)
-            if disk_hit:
-                self.counters.hit("diff", disk=True)
-            else:
-                self.counters.miss("diff")
+            self.counters.miss("diff")
         return diff
 
     @property
@@ -326,32 +270,3 @@ class SchemaCache:
     def schema_factory(self) -> Callable[..., Schema]:
         """A drop-in for ``build_schema`` that consults this cache."""
         return self.schema_for
-
-    # -- the on-disk layer ------------------------------------------------
-
-    def _load_pickle(self, kind: str, key: str):
-        if self._dir is None:
-            return None
-        path = self._dir / kind / f"{key}.pkl"
-        if not path.exists():
-            return None
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None  # a torn or stale entry is just a miss
-
-    def _store_pickle(self, kind: str, key: str, value) -> None:
-        if self._dir is None:
-            return
-        path = self._dir / kind / f"{key}.pkl"
-        # The suffix must be unique across *processes* too: a run on
-        # worker processes has many of them writing the same layer, and
-        # thread idents alone collide between interpreters.
-        tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)  # atomic under concurrent writers
-        except OSError:
-            tmp.unlink(missing_ok=True)

@@ -63,7 +63,6 @@ class PipelineConfig:
     policy: LinearizationPolicy = LinearizationPolicy.FULL
     reed_limit: int = DEFAULT_REED_LIMIT
     jobs: int = 1
-    cache_dir: str | None = None
     retry: RetryPolicy = field(default=NO_RETRY)
     project_deadline: float | None = None  # wall-second budget per project
     injector: FaultInjector | None = None  # seeded chaos, off by default
@@ -80,7 +79,7 @@ class MeasurementPipeline:
     ) -> None:
         self.config = config
         self.provider = provider
-        self.cache = cache if cache is not None else SchemaCache(config.cache_dir)
+        self.cache = cache if cache is not None else SchemaCache()
         self.stats = PipelineStats(jobs=max(1, config.jobs), cache=self.cache.counters)
         self.stages: tuple[Stage, ...] = (
             ExtractStage(provider, policy=config.policy),

@@ -229,8 +229,7 @@ class PipelineStats:
             lines.append(f"  stage {stage:<10} {seconds:8.3f}s over {count} projects")
         c = self.cache
         lines.append(
-            f"  cache schema {c.schema_hits} hits / {c.schema_misses} misses "
-            f"({c.schema_disk_hits} from disk), "
+            f"  cache schema {c.schema_hits} hits / {c.schema_misses} misses, "
             f"diff {c.diff_hits} hits / {c.diff_misses} misses, "
             f"scan {c.scan_hits} hits / {c.scan_misses} misses"
         )

@@ -400,7 +400,6 @@ def _ingest(
     source: dict,
     dispatch: Callable[[int, int, SchemaCache, int], _Dispatch],
     config: PipelineConfig,
-    cache: SchemaCache | None,
     chunk_size: int | None,
     started: float,
     resumes: bool = False,
@@ -440,21 +439,16 @@ def _ingest(
     if resumes:
         report.stream_count, report.stream_resumed_at = count, start
     report.skipped_unchanged = start  # the resumed prefix is proven persisted
-    stats = PipelineStats(
-        jobs=max(1, config.jobs), cache=cache.counters if cache is not None else None
-    )
+    stats = PipelineStats(jobs=max(1, config.jobs))
     chunk = chunk_size if chunk_size is not None else max(8, config.jobs * 4)
     jobs = max(1, config.jobs)
     backend = "process" if jobs > 1 else "serial"
 
     def send(chunk_start: int, chunk_stop: int) -> _InFlight:
         sent_at = time.perf_counter()
-        # A fresh in-memory cache per chunk keeps the parse/diff cache
-        # from growing with the corpus; a cache_dir still shares.
-        chunk_cache = (
-            cache if cache is not None
-            else SchemaCache(config.cache_dir, registry=stats.registry)
-        )
+        # A fresh cache per chunk keeps the parse/diff cache from
+        # growing with the corpus.
+        chunk_cache = SchemaCache(registry=stats.registry)
         keys, bounds, work, fingerprints, done = dispatch(
             chunk_start, chunk_stop, chunk_cache, jobs
         )
@@ -536,8 +530,6 @@ def ingest_corpus(
     policy: LinearizationPolicy = LinearizationPolicy.FULL,
     reed_limit: int = DEFAULT_REED_LIMIT,
     jobs: int = 1,
-    cache_dir: str | None = None,
-    cache: SchemaCache | None = None,
     prune: bool = True,
     retry: RetryPolicy = NO_RETRY,
     project_deadline: float | None = None,
@@ -571,7 +563,7 @@ def ingest_corpus(
         omitted_by_paths=omitted,
     )
     config = PipelineConfig(
-        policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
+        policy=policy, reed_limit=reed_limit, jobs=jobs,
         retry=retry, project_deadline=project_deadline, injector=injector,
     )
 
@@ -603,7 +595,6 @@ def ingest_corpus(
         {"kind": "corpus"},
         dispatch,
         config,
-        cache,
         chunk_size,
         started,
         keep=[task.repo_name for task in tasks] if prune else None,
@@ -617,8 +608,6 @@ def ingest_stream(
     policy: LinearizationPolicy = LinearizationPolicy.FULL,
     reed_limit: int = DEFAULT_REED_LIMIT,
     jobs: int = 1,
-    cache_dir: str | None = None,
-    cache: SchemaCache | None = None,
     retry: RetryPolicy = NO_RETRY,
     project_deadline: float | None = None,
     injector: FaultInjector | None = None,
@@ -632,8 +621,11 @@ def ingest_stream(
     :class:`~repro.synthesis.stream.StreamSpec`, and projects are
     generated, measured and persisted **one chunk at a time**, so peak
     RSS is a function of ``chunk_size``, not of ``spec.count``.  It runs
-    the same loop with the same knobs, and the store ends byte-identical
-    to materialize-then-:func:`ingest_corpus`.  A killed run resumes
+    the same loop with the same knobs, and for a single-dialect stream
+    the store ends byte-identical to materialize-then-:func:`ingest_corpus`.
+    A mixed-dialect stream does not: the stream draws each project's
+    dialect apart from its DDL path, while the funnel derives a task's
+    dialect from the path.  A killed run resumes
     **by index**, regenerating nothing before the checkpoint
     (per-project seeds make any suffix of the stream reproducible), and
     reports ``resumed_from == "stream"`` and ``stream_resumed_at``.
@@ -665,7 +657,7 @@ def ingest_stream(
         omitted_by_paths={},
     )
     config = PipelineConfig(
-        policy=policy, reed_limit=reed_limit, jobs=jobs, cache_dir=cache_dir,
+        policy=policy, reed_limit=reed_limit, jobs=jobs,
         retry=retry, project_deadline=project_deadline, injector=injector,
     )
 
@@ -700,7 +692,6 @@ def ingest_stream(
         },
         dispatch,
         config,
-        cache,
         chunk_size,
         started,
         resumes=True,

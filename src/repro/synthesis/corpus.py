@@ -78,28 +78,17 @@ class SyntheticCorpus:
         """The clone step: returns None for repos gone from GitHub."""
         return self.repos.get(repo_name)
 
-    def run_funnel(
-        self,
-        jobs: int = 1,
-        cache_dir: str | None = None,
-        cache=None,
-        **kwargs,
-    ) -> FunnelReport:
+    def run_funnel(self, **kwargs) -> FunnelReport:
         """Run the full mining funnel over this corpus.
 
-        ``jobs``, ``cache_dir`` and ``cache`` forward to the staged
-        measurement pipeline (see :mod:`repro.pipeline`); any other
-        keyword reaches :func:`repro.mining.funnel.run_funnel` verbatim.
+        Every keyword reaches :func:`repro.mining.funnel.run_funnel`
+        verbatim.  ``jobs`` and ``cache`` forward to the staged
+        measurement pipeline (see :mod:`repro.pipeline`); a shared
+        ``cache`` serves only the projects measured in the calling
+        thread (all of them at ``jobs=1``; worker processes build their
+        own per slice).
         """
-        return run_funnel(
-            self.activity,
-            self.lib_io,
-            self.provider,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            cache=cache,
-            **kwargs,
-        )
+        return run_funnel(self.activity, self.lib_io, self.provider, **kwargs)
 
     @property
     def studied_names(self) -> list[str]:

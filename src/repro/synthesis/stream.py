@@ -28,8 +28,10 @@ its intended taxon.
 
 :func:`materialize_stream` folds a (small) stream back into a
 :class:`~repro.synthesis.corpus.SyntheticCorpus`, which is how the
-byte-identity gate proves the streamed and materialized paths produce
-stores with equal ``content_hash()``.
+identity harness proves that, for a single-dialect stream, the streamed
+and materialized paths produce stores with equal ``content_hash()``.  A
+mixed-dialect stream does not: each project's dialect is drawn apart
+from its DDL path, from which the funnel derives a task's dialect.
 """
 
 from __future__ import annotations

@@ -1,23 +1,21 @@
-"""Job-count equivalence: the calling thread and worker processes.
+"""The calling thread and worker processes.
 
-How projects run is pure scheduling — every job count must produce
-byte-identical study artifacts, identical failure records under seeded
-chaos, and the same provable cache behavior.  These tests pin that
-contract, plus the worker pool's own obligations: worker death
-degrades to ``executor``-stage failures instead of hanging the run,
-worker spans/metrics relay into the parent's recorder/registry, and the
-task partition is deterministic and recorded.
+How projects run is pure scheduling: that every job count produces
+byte-identical study artifacts and identical failure records under
+seeded chaos is checked by ``tests/test_identity.py``.  These tests pin
+the worker pool's own obligations: worker death degrades to
+``executor``-stage failures instead of hanging the run, worker
+spans/metrics relay into the parent's recorder/registry, each project
+is resolved once, and the task partition is deterministic and recorded.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 
 import pytest
 
-from repro.io.export import funnel_payload
 from repro.mining.funnel import select_tasks
 from repro.mining.selection import SelectionCriteria
 from repro.obs import recording
@@ -103,38 +101,6 @@ class TestPartitioning:
         one = MeasurementPipeline({"a/x": _repo("a/x")}.get, PipelineConfig(jobs=4))
         assert one.run(_tasks(["a/x"]))[0].outcome is Outcome.STUDIED
         assert one.stats.partition["backend"] == "serial"
-
-
-@pytest.mark.slow
-class TestCrossBackendEquivalence:
-    def test_seeded_faults_replay_identically_across_backends(self, small_corpus):
-        injector = FaultInjector(seed=7, rate=0.4, sites=("parse",))
-        retry = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0)
-        records = {}
-        for backend, jobs in JOBS.items():
-            report = small_corpus.run_funnel(jobs=jobs, injector=injector, retry=retry)
-            assert report.failed_count > 0  # the chaos actually fired
-            records[backend] = [
-                failure.payload()
-                for failure in sorted(report.failures, key=lambda f: f.project)
-            ]
-        assert records["serial"] == records["process"]
-
-    def test_warm_disk_cache_through_process_backend_runs_zero_parses(
-        self, small_corpus, tmp_path
-    ):
-        cache_dir = str(tmp_path / "cache")
-        cold = small_corpus.run_funnel(jobs=4, cache_dir=cache_dir)
-        assert cold.stats.cache.build_schema_calls > 0
-        with recording() as recorder:
-            warm = small_corpus.run_funnel(jobs=4, cache_dir=cache_dir)
-        # provably warm: zero parses by counter *and* by trace
-        assert warm.stats.cache.build_schema_calls == 0
-        assert recorder.count("build_schema") == 0
-        assert warm.stats.cache.schema_disk_hits > 0
-        assert json.dumps(funnel_payload(warm), sort_keys=True) == json.dumps(
-            funnel_payload(cold), sort_keys=True
-        )
 
 
 class TestObservabilityRelay:

@@ -29,7 +29,7 @@ from repro.obs import (
     trace,
     validate_trace_line,
 )
-from repro.pipeline import MeasurementPipeline, PipelineConfig, ProjectTask
+from repro.pipeline import MeasurementPipeline, PipelineConfig, ProjectTask, SchemaCache
 from repro.serve import ServiceMetrics
 
 from tests.test_pipeline import tiny_corpus
@@ -319,20 +319,19 @@ class TestWarmRunProvableFromTrace:
     ``build_schema`` (and ``diff_schemas``/``scan_create_table``)
     spans did any work."""
 
-    def test_cold_run_traces_parses_warm_run_traces_none(self, tmp_path):
+    def test_cold_run_traces_parses_warm_run_traces_none(self):
         activity, lib_io, provider = tiny_corpus(with_bad_project=False)
-        cache_dir = str(tmp_path / "cache")
+        cache = SchemaCache()
 
         with recording() as cold:
-            run_funnel(activity, lib_io, provider, cache_dir=cache_dir)
+            run_funnel(activity, lib_io, provider, cache=cache)
         assert cold.count("build_schema") > 0
         assert cold.count("scan_create_table") > 0
         for stage in STAGES:
             assert cold.count(f"stage.{stage}") > 0
 
-        # A fresh cache object simulates a new process: only disk is warm.
         with recording() as warm:
-            run_funnel(activity, lib_io, provider, cache_dir=cache_dir)
+            run_funnel(activity, lib_io, provider, cache=cache)
         for stage in STAGES:
             assert warm.count(f"stage.{stage}") > 0  # the stages still ran
         assert warm.count("build_schema") == 0  # ...but did zero parse work
@@ -341,12 +340,14 @@ class TestWarmRunProvableFromTrace:
 
     def test_warm_proof_survives_jsonl_serialization(self, tmp_path):
         activity, lib_io, provider = tiny_corpus(with_bad_project=False)
-        cache_dir = str(tmp_path / "cache")
-        run_funnel(activity, lib_io, provider, cache_dir=cache_dir)
+        cache = SchemaCache()
+        run_funnel(activity, lib_io, provider, cache=cache)
         with recording() as warm:
-            run_funnel(activity, lib_io, provider, cache_dir=cache_dir)
+            run_funnel(activity, lib_io, provider, cache=cache)
         path = warm.write(tmp_path / "warm.jsonl")
         rows = read_trace(path)
         names = [row["name"] for row in rows]
         assert "build_schema" not in names
+        assert "scan_create_table" not in names
+        assert "diff_schemas" not in names
         assert {f"stage.{stage}" for stage in STAGES} <= set(names)

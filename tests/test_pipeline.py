@@ -1,10 +1,9 @@
 """Tests of the staged measurement pipeline.
 
 Fault isolation (one malformed project must not abort the corpus) and
-the content-hash cache (a warm re-run performs zero ``build_schema``
-calls, in memory and across processes via the disk layer).  That every
-job count yields byte-identical artifacts is checked by
-``tests/test_identity.py``.
+the content-hash cache (a warm re-run through a shared cache performs
+zero ``build_schema`` calls).  That every job count yields
+byte-identical artifacts is checked by ``tests/test_identity.py``.
 """
 
 from __future__ import annotations
@@ -167,19 +166,6 @@ class TestCache:
         assert warm.stats.cache.build_schema_calls == cold_misses  # shared counters
         assert warm.stats.cache.schema_hits >= cold_misses
         assert [p.name for p in warm.studied] == [p.name for p in cold.studied]
-
-    def test_warm_disk_cache_skips_all_parsing(self, tmp_path):
-        activity, lib_io, provider = tiny_corpus(with_bad_project=False)
-        cache_dir = tmp_path / "cache"
-        cold = run_funnel(activity, lib_io, provider, cache_dir=str(cache_dir))
-        assert cold.stats.cache.schema_misses > 0
-        # A fresh cache object simulates a new process: only disk is warm.
-        warm = run_funnel(activity, lib_io, provider, cache_dir=str(cache_dir))
-        assert warm.stats.cache.build_schema_calls == 0
-        assert warm.stats.cache.schema_disk_hits > 0
-        assert warm.stats.cache.scan_misses == 0
-        for a, b in zip(cold.studied, warm.studied):
-            assert a.metrics == b.metrics
 
     def test_identical_blobs_share_one_schema_object(self):
         cache = SchemaCache()

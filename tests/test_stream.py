@@ -1,11 +1,12 @@
 """Tests of streaming synthesis and constant-memory batched ingest.
 
 The contract under test: any slice of a seeded stream is reproducible
-in isolation (per-project seeds), an interrupted run resumes from its
-checkpoint index, and Python-side peak memory tracks the chunk size —
-not the stream length.  That streamed and materialized ingest, chunk
-sizes, job counts and layouts never change the bytes is checked by
-``tests/test_identity.py``.
+in isolation (per-project seeds), a checkpoint resumes only the stream
+and settings that wrote it, and Python-side peak memory tracks the chunk
+size — not the stream length.  That streamed and materialized ingest,
+chunk sizes, job counts and layouts never change the bytes, that a
+killed run resumes from its checkpoint index and that a re-ingest
+measures nothing are checked by ``tests/test_identity.py``.
 """
 
 from __future__ import annotations
@@ -108,38 +109,6 @@ def _stream_record(spec, next_index, seed=None):
 
 
 class TestResume:
-    @pytest.mark.parametrize("jobs", JOBS.values(), ids=JOBS)
-    def test_reingest_measures_nothing(self, tmp_path, jobs):
-        knobs = dict(chunk_size=8, jobs=jobs)
-        with CorpusStore(tmp_path / "twice.db") as store:
-            ingest_stream(store, SPEC, **knobs)
-            first_hash = store.content_hash()
-            report = ingest_stream(store, SPEC, **knobs)
-            assert report.measured == 0
-            assert report.stats.projects == 0
-            assert report.skipped_unchanged == SPEC.count
-            assert store.content_hash() == first_hash
-
-    @pytest.mark.parametrize("jobs", JOBS.values(), ids=JOBS)
-    def test_resume_mid_stream_from_checkpoint(self, tmp_path, jobs):
-        spec = StreamSpec(seed=5, count=12)
-        knobs = dict(chunk_size=4, jobs=jobs)
-        with CorpusStore(tmp_path / "resume.db") as store:
-            # First 7 projects land exactly as a crashed 12-project run
-            # would have left them (names and seeds depend only on the
-            # index, never on the count), then the crash's checkpoint.
-            ingest_stream(store, StreamSpec(seed=5, count=7), **knobs)
-            store.set_meta(INGEST_CHECKPOINT_KEY, _stream_record(spec, next_index=7))
-            report = ingest_stream(store, spec, **knobs)
-            assert report.resumed_from == "stream"
-            assert report.stream_resumed_at == 7
-            assert report.measured == spec.count - 7
-            assert store.get_meta(INGEST_CHECKPOINT_KEY) is None
-            resumed_hash = store.content_hash()
-        with CorpusStore(tmp_path / "clean.db") as clean:
-            ingest_stream(clean, spec, chunk_size=4)
-            assert clean.content_hash() == resumed_hash
-
     def test_stored_fingerprint_bytes_are_pinned(self, tmp_path):
         """Stored fingerprints must keep their bytes, or a re-ingest of an
         existing store re-measures every project."""

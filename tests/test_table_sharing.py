@@ -27,8 +27,9 @@ REFERENCE = CorpusSpec(seed=2019, scale=0.05)
 REFERENCE_PROJECT = "dharma/smart-portal"  # 18 versions, 68 tables at the last
 ONE_TABLE = "CREATE TABLE t (id INT NOT NULL, name VARCHAR(40), PRIMARY KEY (id));"
 
-#: ``schema_key`` names every on-disk diff-cache entry, so a change to
-#: its bytes would silently cold-start every cache written before it.
+#: ``schema_key`` hashes a schema's canonical form, and the cache joins
+#: the same bytes from per-table parts; the pin catches a change to the
+#: canonical form that both would follow unnoticed.
 PINNED_KEYS = {
     "empty": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
     "one table": "bc4ebe10b49495950a1bc65897b5c21bf55129c82ed6a7ef95ed543707422601",
@@ -76,27 +77,17 @@ def test_schema_key_bytes_are_pinned(reference):
     assert keys == PINNED_KEYS
 
 
-def test_cache_keys_equal_schema_key_and_keep_disk_caches_warm(histories, tmp_path):
-    """The cache names each on-disk diff by its two schemas' keys."""
-    cache = SchemaCache(cache_dir=tmp_path)
-    names = set()
+def test_cache_keys_equal_schema_key(histories):
+    """The cache keys each diff by its two schemas' :func:`schema_key`,
+    built or foreign, though it joins a key from per-table parts."""
+    cache = SchemaCache()
     pairs = [(Schema(), build_schema(ONE_TABLE))]
     for texts, dialect in histories:
         schemas = [cache.schema_for(text, dialect=dialect) for text in texts]
         pairs += zip(schemas, schemas[1:])
     for old, new in pairs:
         cache.diff_for(old, new)
-        names.add(f"{schema_key(old)[:32]}__{schema_key(new)[:32]}.pkl")
-    assert {path.name for path in (tmp_path / "diffs").iterdir()} == names
-
-    warm = SchemaCache(cache_dir=tmp_path)  # its schemas come from disk
-    for texts, dialect in histories:
-        schemas = [warm.schema_for(text, dialect=dialect) for text in texts]
-        for old, new in zip(schemas, schemas[1:]):
-            warm.diff_for(old, new)
-    assert warm.counters.build_schema_calls == 0
-    assert warm.counters.diff_misses == 0
-    assert warm.counters.diff_disk_hits > 0
+    assert set(cache._diffs) == {(schema_key(old), schema_key(new)) for old, new in pairs}
 
 
 def test_an_unchanged_create_table_is_one_table_in_every_version():
